@@ -20,6 +20,7 @@
 #include "common/timer.h"
 #include "datagen/graph_gen.h"
 #include "engine/rasql_context.h"
+#include "runtime/thread_pool.h"
 #include "storage/result_format.h"
 
 namespace rasql::bench {
@@ -200,6 +201,7 @@ int Main(int argc, char** argv) {
   doc.Integer("sssp_vertices", sssp_vertices);
   doc.Integer("inserts_per_workload", inserts);
   doc.Integer("threads", threads);
+  doc.Integer("hardware_threads", runtime::ThreadPool::HardwareThreads());
   doc.Raw("workloads", JsonEmitter::Array(records));
   if (!doc.WriteFile(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

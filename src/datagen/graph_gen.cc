@@ -167,7 +167,6 @@ Relation ToEdgeRelation(const Graph& graph) {
     cols.push_back({"Cost", storage::ValueType::kDouble});
   }
   Relation rel{storage::Schema(cols)};
-  rel.Reserve(graph.edges.size());
   for (size_t i = 0; i < graph.edges.size(); ++i) {
     Row row;
     row.reserve(cols.size());
@@ -182,7 +181,6 @@ Relation ToEdgeRelation(const Graph& graph) {
 Relation ToReportRelation(const Graph& tree) {
   Relation rel{storage::Schema::Of({{"Emp", storage::ValueType::kInt64},
                                     {"Mgr", storage::ValueType::kInt64}})};
-  rel.Reserve(tree.edges.size());
   for (const auto& [parent, child] : tree.edges) {
     rel.Add({Value::Int(child), Value::Int(parent)});
   }
@@ -202,7 +200,6 @@ void ToBomRelations(const Graph& tree, uint64_t seed, Relation* assbl,
   std::vector<bool> has_children(tree.num_vertices, false);
   for (const auto& [parent, child] : tree.edges) has_children[parent] = true;
 
-  assbl->Reserve(tree.edges.size());
   for (const auto& [parent, child] : tree.edges) {
     assbl->Add({Value::Int(parent), Value::Int(child)});
   }
@@ -223,11 +220,9 @@ void ToMlmRelations(const Graph& tree, uint64_t seed, Relation* sponsor,
       {{"M", storage::ValueType::kInt64},
        {"P", storage::ValueType::kDouble}})};
 
-  sponsor->Reserve(tree.edges.size());
   for (const auto& [parent, child] : tree.edges) {
     sponsor->Add({Value::Int(parent), Value::Int(child)});
   }
-  sales->Reserve(tree.num_vertices);
   for (int64_t v = 0; v < tree.num_vertices; ++v) {
     sales->Add({Value::Int(v),
                 Value::Double(std::floor(rng.NextDouble() * 1000.0))});

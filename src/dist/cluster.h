@@ -263,6 +263,10 @@ class Cluster {
   }
   /// Actual number of task-executing threads (>= 1).
   int num_threads() const { return executor_.num_threads(); }
+  /// The runtime pool under the stages (null with one thread), for driver
+  /// work that is not a modeled stage — e.g. the fixpoint's final sorted
+  /// collect. Work run here is invisible to the cost model.
+  runtime::ThreadPool* runtime_pool() const { return executor_.pool(); }
 
   /// Runs one stage: `task` executes with a TaskContext for every
   /// partition in [0, num_partitions) — concurrently when the runtime has

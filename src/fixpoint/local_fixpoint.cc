@@ -355,9 +355,9 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
 
   // Canonical (sorted) output: hash-state iteration order depends on
   // insertion history, which a warm start legitimately changes; sorting
-  // here is what makes warm results bit-identical to cold ones.
-  Relation result = state.Collect();
-  result.SortRows();
+  // here is what makes warm results bit-identical to cold ones. Each
+  // partition sorts and releases its own state on the pool.
+  Relation result = state.TakeSorted(pool);
   std::map<std::string, Relation> out;
   out.emplace(view.name, std::move(result));
   stats->used_semi_naive = true;

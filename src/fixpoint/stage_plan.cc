@@ -260,9 +260,17 @@ Result<StageGraph> PlanLocalStages(const analysis::RecursiveClique& clique,
       g.Claim(r_state, kPartitionOwned);
       g.Claim(r_delta, kPartitionOwned);
     }
+    {
+      // Once, after the loop: SetRdd::TakeSorted drains, sorts and
+      // releases each partition's state into that partition's run.
+      const int r_runs = g.AddResource("sorted-runs");
+      g.AddStage("canonical-collect", StageKind::kLocal);
+      g.Claim(r_state, kPartitionOwned);
+      g.Claim(r_runs, kPartitionOwned);
+    }
     g.note = std::move(note) +
              "\nmode: local semi-naive (Alg. 3/5) — iter-* template "
-             "repeats until the delta is empty";
+             "repeats until the delta is empty, then canonical-collect";
     return g;
   }
 

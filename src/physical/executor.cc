@@ -276,7 +276,6 @@ Result<BorrowedRelation> ExecProject(const plan::ProjectNode& node,
   ProjectionEvaluator projector(node.exprs(), ctx.use_codegen);
   Relation out(node.schema());
   RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
-  out.Reserve(input.rel->size());
   input.rel->ForEachRow([&](const Row& row) {
     out.Add(projector.Eval(row));
   });
@@ -746,7 +745,6 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
     out.Add(std::move(row));
     return Own(std::move(out));
   }
-  out.Reserve(groups.size());
   for (auto& [key, state] : groups) {
     Row row = key;
     for (Value& acc : state.accumulators) row.push_back(std::move(acc));

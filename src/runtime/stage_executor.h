@@ -25,6 +25,8 @@ class StageExecutor {
   const RuntimeOptions& options() const { return options_; }
   /// Actual number of task-executing threads (>= 1, auto resolved).
   int num_threads() const { return num_threads_; }
+  /// The pool stage tasks run on; null on the sequential path.
+  ThreadPool* pool() const { return pool_; }
 
   /// Runs task(p) for every p in [0, num_tasks), filling `results` and
   /// `task_seconds` in partition order. R must be default-constructible

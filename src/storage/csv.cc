@@ -210,7 +210,6 @@ Result<Relation> ParseCsv(const std::string& text,
     columns.push_back(Column{names[c], types[c]});
   }
   Relation rel{Schema(std::move(columns))};
-  rel.Reserve(cells.size());
   for (auto& row_cells : cells) {
     Row row;
     row.reserve(width);

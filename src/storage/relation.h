@@ -72,8 +72,6 @@ class Relation {
   /// Historical alias of AppendRow.
   void Add(const Row& row) { AppendRow(row); }
 
-  /// Capacity hint — chunk growth is amortized; kept for call-site compat.
-  void Reserve(size_t n) { (void)n; }
   void Clear() {
     chunks_.clear();
     chunk_begins_.clear();

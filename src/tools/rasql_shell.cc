@@ -128,6 +128,14 @@ class Shell {
         result->lint_report.engine.HasWarnings()) {
       std::fprintf(stderr, "%s", result->lint_report.ToString().c_str());
     }
+    // A capped fixpoint is a truncated answer; say so on stderr so the
+    // rows on stdout stay exactly what the query produced.
+    if (result->fixpoint_stats.hit_iteration_limit) {
+      std::fprintf(stderr,
+                   "warning: fixpoint stopped at the iteration cap (%d "
+                   "iterations); the result may be incomplete\n",
+                   result->fixpoint_stats.iterations);
+    }
     if (format_ == storage::ResultFormat::kText) {
       // Interactive default: a 40-row preview, not a data export.
       std::printf("%s", result->relation.ToString(40).c_str());

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <set>
 
+#include "common/rng.h"
 #include "dist/aggregates.h"
 #include "dist/broadcast.h"
 #include "dist/cluster.h"
@@ -9,8 +12,17 @@
 #include "dist/set_rdd.h"
 #include "dist/shuffle.h"
 #include "runtime/runtime_options.h"
+#include "runtime/thread_pool.h"
+#include "storage/result_format.h"
 
 namespace rasql::dist {
+
+/// Reads which sort path SetRdd::TakeSorted took.
+class SetRddTestPeer {
+ public:
+  static int packed_runs(const SetRdd& rdd) { return rdd.packed_runs_; }
+};
+
 namespace {
 
 using expr::AggregateFunction;
@@ -537,6 +549,217 @@ TEST(SetRddTest, CollectAcrossPartitions) {
   }
   EXPECT_EQ(rdd.TotalRows(), 20u);
   EXPECT_EQ(rdd.Collect().size(), 20u);
+}
+
+// ---- SetRdd::TakeSorted: the canonical parallel collect. ----
+
+/// Which cells a random state holds: only non-null int64s (two-column
+/// states take the packed sort), or a mix of int64, double, string and
+/// NULL drawn from a small domain so that int 1 and double 1.0 meet in one
+/// column.
+enum class CellMix { kInt64, kMixed };
+
+Value RandomCell(common::Rng* rng, CellMix mix) {
+  if (mix == CellMix::kInt64) {
+    // Mostly small values (duplicates, neighbours), sometimes the extremes
+    // that a signed/unsigned packing mistake would misorder.
+    switch (rng->NextBounded(8)) {
+      case 0:
+        return Value::Int(std::numeric_limits<int64_t>::min());
+      case 1:
+        return Value::Int(std::numeric_limits<int64_t>::max());
+      default:
+        return Value::Int(rng->NextInRange(-6, 6));
+    }
+  }
+  switch (rng->NextBounded(4)) {
+    case 0:
+      return Value::Int(rng->NextInRange(0, 3));
+    case 1:
+      return Value::Double(0.5 * static_cast<double>(rng->NextInRange(0, 6)));
+    case 2:
+      return Value::String(std::string(1, static_cast<char>(
+                                              'a' + rng->NextBounded(3))));
+    default:
+      return Value::Null();
+  }
+}
+
+/// Aggregate values the spec can combine: sum/count need numbers.
+Value RandomAggValue(common::Rng* rng, AggregateFunction fn, CellMix mix) {
+  if (fn == AggregateFunction::kCount) return Value::Int(rng->NextInRange(1, 3));
+  if (fn == AggregateFunction::kSum) {
+    if (mix == CellMix::kMixed && rng->NextBounded(2) == 0) {
+      return Value::Double(0.5 * static_cast<double>(rng->NextInRange(-4, 4)));
+    }
+    return Value::Int(rng->NextInRange(-4, 4));
+  }
+  return RandomCell(rng, mix);
+}
+
+/// A state built by merging `rows` into each row's home partition, in
+/// order — two calls with the same rows give identical states.
+std::unique_ptr<SetRdd> BuildRdd(const Schema& schema, const AggSpec& spec,
+                                 int num_partitions,
+                                 const std::vector<Row>& rows) {
+  auto rdd = std::make_unique<SetRdd>(
+      schema, spec, Partitioning{spec.key_columns, num_partitions});
+  std::vector<Row> delta;
+  for (const Row& row : rows) {
+    rdd->partition(rdd->partitioning().PartitionOf(row))
+        ->MergeDelta(std::vector<Row>{row}, &delta);
+  }
+  return rdd;
+}
+
+/// True when the partition's state is two-column rows of non-null int64s.
+bool PackableInt64Pairs(const SetRddPartition& part) {
+  bool all = true;
+  part.ToRelation().ForEachRow([&](const Row& row) {
+    all = all && row.size() == 2;
+    for (const Value& v : row) all = all && v.type() == ValueType::kInt64;
+  });
+  return all;
+}
+
+/// Checks TakeSorted against Collect() + SortRows() on a twin state:
+/// byte-identical CSV and footprint, the packed sort taken by exactly the
+/// non-empty two-column all-int64 partitions, and the drained state left
+/// empty.
+void ExpectSortedCollectMatches(const Schema& schema, const AggSpec& spec,
+                                int num_partitions,
+                                const std::vector<Row>& rows,
+                                runtime::ThreadPool* pool) {
+  std::unique_ptr<SetRdd> oracle = BuildRdd(schema, spec, num_partitions, rows);
+  std::unique_ptr<SetRdd> rdd = BuildRdd(schema, spec, num_partitions, rows);
+  int want_packed = 0;
+  for (int p = 0; p < num_partitions; ++p) {
+    const SetRddPartition& part = *oracle->partition(p);
+    if (part.size() > 0 && PackableInt64Pairs(part)) ++want_packed;
+  }
+  Relation want = oracle->Collect();
+  want.SortRows();
+
+  Relation got = rdd->TakeSorted(pool);
+  EXPECT_EQ(storage::FormatRelation(got, storage::ResultFormat::kCsv),
+            storage::FormatRelation(want, storage::ResultFormat::kCsv));
+  EXPECT_TRUE(SameRows(got, want));
+  EXPECT_EQ(got.ByteSize(), want.ByteSize());
+  EXPECT_EQ(SetRddTestPeer::packed_runs(*rdd), want_packed);
+  EXPECT_EQ(rdd->TotalRows(), 0u);
+  EXPECT_EQ(rdd->TotalBytes(), 0u);
+}
+
+Schema SortedCollectSchema(int width) {
+  std::vector<storage::Column> cols;
+  for (int c = 0; c < width; ++c) {
+    cols.push_back({"C" + std::to_string(c), ValueType::kInt64});
+  }
+  return Schema(std::move(cols));
+}
+
+TEST(SetRddTest, SortedCollectMatchesCollectThenSort) {
+  const AggregateFunction kFns[] = {
+      AggregateFunction::kNone, AggregateFunction::kMin,
+      AggregateFunction::kMax, AggregateFunction::kSum,
+      AggregateFunction::kCount};
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  for (int threads : {1, 2, 8}) {
+    pools.push_back(std::make_unique<runtime::ThreadPool>(threads));
+  }
+  uint64_t seed = 1;
+  for (AggregateFunction fn : kFns) {
+    for (int width : {1, 2, 3}) {
+      if (fn != AggregateFunction::kNone && width == 1) continue;
+      const AggSpec spec = AggSpec::For(
+          width, fn == AggregateFunction::kNone ? -1 : width - 1, fn);
+      const Schema schema = SortedCollectSchema(width);
+      for (CellMix mix : {CellMix::kInt64, CellMix::kMixed}) {
+        for (int num_partitions : {1, 3, 30}) {
+          for (const auto& pool : pools) {
+            common::Rng rng(seed++);
+            // Few rows against 30 partitions leaves most of them empty.
+            const size_t num_rows = 1 + rng.NextBounded(
+                                            num_partitions == 30 ? 40 : 400);
+            std::vector<Row> rows;
+            for (size_t i = 0; i < num_rows; ++i) {
+              Row row;
+              for (int c = 0; c < width; ++c) {
+                row.push_back(c == spec.agg_column
+                                  ? RandomAggValue(&rng, fn, mix)
+                                  : RandomCell(&rng, mix));
+              }
+              rows.push_back(std::move(row));
+            }
+            SCOPED_TRACE("fn=" + std::to_string(static_cast<int>(fn)) +
+                         " width=" + std::to_string(width) + " mixed=" +
+                         std::to_string(mix == CellMix::kMixed) +
+                         " P=" + std::to_string(num_partitions) +
+                         " threads=" + std::to_string(pool->num_threads()));
+            ExpectSortedCollectMatches(schema, spec, num_partitions, rows,
+                                       pool.get());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SetRddTest, SortedCollectPackedExactlyWhenAllInt64Pairs) {
+  const Schema schema = SortedCollectSchema(2);
+  const AggSpec set_spec = AggSpec::For(2, -1, AggregateFunction::kNone);
+  runtime::ThreadPool pool(2);
+  std::vector<Row> ints;
+  for (int64_t i = 0; i < 64; ++i) {
+    ints.push_back({Value::Int(i % 7), Value::Int(-i)});
+  }
+  // All int64: every non-empty partition sorts packed keys.
+  ExpectSortedCollectMatches(schema, set_spec, 3, ints, &pool);
+  auto rdd = BuildRdd(schema, set_spec, 1, ints);
+  rdd->TakeSorted(&pool);
+  EXPECT_EQ(SetRddTestPeer::packed_runs(*rdd), 1);
+
+  // One NULL, one double 1.0 next to int 1, one string: only the
+  // partitions holding them fall back to RowLess.
+  for (const Value& odd : {Value::Null(), Value::Double(1.0),
+                           Value::String("x")}) {
+    std::vector<Row> rows = ints;
+    rows.push_back({Value::Int(1), odd});
+    ExpectSortedCollectMatches(schema, set_spec, 3, rows, &pool);
+    rdd = BuildRdd(schema, set_spec, 1, rows);
+    rdd->TakeSorted(&pool);
+    EXPECT_EQ(SetRddTestPeer::packed_runs(*rdd), 0);
+  }
+
+  // Aggregates: an int64 min value stays packed, a double one does not.
+  const AggSpec min_spec = AggSpec::For(2, 1, AggregateFunction::kMin);
+  rdd = BuildRdd(schema, min_spec, 1, ints);
+  rdd->TakeSorted(nullptr);
+  EXPECT_EQ(SetRddTestPeer::packed_runs(*rdd), 1);
+  std::vector<Row> costs = {{Value::Int(1), Value::Double(2.5)},
+                            {Value::Int(2), Value::Int(3)}};
+  ExpectSortedCollectMatches(schema, min_spec, 1, costs, nullptr);
+
+  // Other widths always sort Rows.
+  for (int width : {1, 3}) {
+    std::vector<Row> wide;
+    for (int64_t i = 0; i < 16; ++i) wide.push_back(Row(width, Value::Int(i)));
+    rdd = BuildRdd(SortedCollectSchema(width),
+                   AggSpec::For(width, -1, AggregateFunction::kNone), 1, wide);
+    rdd->TakeSorted(nullptr);
+    EXPECT_EQ(SetRddTestPeer::packed_runs(*rdd), 0);
+  }
+}
+
+TEST(SetRddTest, SortedCollectOfEmptyStateKeepsSchema) {
+  const Schema schema = SortedCollectSchema(2);
+  for (int num_partitions : {1, 3, 30}) {
+    SetRdd rdd(schema, AggSpec::For(2, -1, AggregateFunction::kNone),
+               Partitioning{{0, 1}, num_partitions});
+    Relation got = rdd.TakeSorted(nullptr);
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(got.schema().num_columns(), 2);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "datagen/graph_gen.h"
@@ -57,14 +59,23 @@ Relation SeedEdges() {
   return datagen::ToEdgeRelation(datagen::GenerateRmat(opt));
 }
 
+// gtest names an unprintable parameter by dumping its raw bytes, and
+// ctest registers that dump as part of each test's name; a padding byte
+// would leak stack garbage into the name. The 4-byte engine tag keeps the
+// struct padding-free so every case name is stable from run to run.
+enum class Engine : int32_t { kLocal = 0, kDistributed = 1 };
+
 struct MatrixCase {
-  bool distributed;
+  Engine engine;
   int threads;
   size_t batch_rows;
 };
+static_assert(std::has_unique_object_representations_v<MatrixCase>,
+              "MatrixCase must have no padding bytes");
 
 std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
-  return std::string(info.param.distributed ? "dist" : "local") + "_t" +
+  const bool dist = info.param.engine == Engine::kDistributed;
+  return std::string(dist ? "dist" : "local") + "_t" +
          std::to_string(info.param.threads) + "_b" +
          std::to_string(info.param.batch_rows);
 }
@@ -74,7 +85,7 @@ class WarmColdIdentity : public ::testing::TestWithParam<MatrixCase> {
   engine::EngineConfig Config(bool incremental) const {
     engine::EngineConfig config;
     config.incremental = incremental;
-    config.distributed = GetParam().distributed;
+    config.distributed = GetParam().engine == Engine::kDistributed;
     config.cluster.num_workers = 4;
     config.cluster.num_partitions = 8;
     config.runtime.num_threads = GetParam().threads;
@@ -149,11 +160,16 @@ TEST_P(WarmColdIdentity, SsspMinPaths) { ExpectWarmMatchesCold(kSssp); }
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesThreadsBatches, WarmColdIdentity,
-    ::testing::Values(MatrixCase{false, 1, 0}, MatrixCase{false, 2, 0},
-                      MatrixCase{false, 8, 0}, MatrixCase{false, 1, 64},
-                      MatrixCase{false, 8, 64}, MatrixCase{true, 1, 0},
-                      MatrixCase{true, 2, 0}, MatrixCase{true, 8, 0},
-                      MatrixCase{true, 1, 64}, MatrixCase{true, 8, 64}),
+    ::testing::Values(MatrixCase{Engine::kLocal, 1, 0},
+                      MatrixCase{Engine::kLocal, 2, 0},
+                      MatrixCase{Engine::kLocal, 8, 0},
+                      MatrixCase{Engine::kLocal, 1, 64},
+                      MatrixCase{Engine::kLocal, 8, 64},
+                      MatrixCase{Engine::kDistributed, 1, 0},
+                      MatrixCase{Engine::kDistributed, 2, 0},
+                      MatrixCase{Engine::kDistributed, 8, 0},
+                      MatrixCase{Engine::kDistributed, 1, 64},
+                      MatrixCase{Engine::kDistributed, 8, 64}),
     CaseName);
 
 // ---- Ineligible queries fall back cold --------------------------------
