@@ -43,7 +43,17 @@ if grep -rn 'VecCompare\|AnalyzeVecCompare' src tests bench examples \
        "compile batch predicates through expr/vec_program.h" >&2
   exit 1
 fi
-echo "tidy.sh: columnar-API grep gates passed"
+# 4. Expressions have one semantics, Expr::Eval's, which VecProgram
+#    reproduces in batch mode (DESIGN.md §15). The all-double CompiledExpr
+#    engine and VecProgram's compiled-mirror mode that copied it changed
+#    query answers under codegen; nothing may bring them back.
+if grep -rn 'CompiledExpr\|kCompiledMirror\|EvalNumeric' src tests bench \
+    examples --include='*.cc' --include='*.h' --include='*.cpp'; then
+  echo "tidy.sh: FAIL — expressions evaluate through Expr::Eval or" \
+       "expr::VecProgram only; a second engine may not change answers" >&2
+  exit 1
+fi
+echo "tidy.sh: columnar-API and expression-semantics grep gates passed"
 
 TIDY_BIN=${TIDY_BIN:-clang-tidy}
 if ! command -v "${TIDY_BIN}" >/dev/null 2>&1; then

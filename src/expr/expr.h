@@ -1,6 +1,7 @@
 #ifndef RASQL_EXPR_EXPR_H_
 #define RASQL_EXPR_EXPR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +45,9 @@ enum class AggregateFunction {
 const char* AggregateFunctionName(AggregateFunction fn);
 
 /// A bound (column indices resolved, output type known) scalar expression.
-/// Evaluation is the classic interpreted tree walk; see CompiledExpr for the
-/// whole-stage-codegen analogue.
+/// Evaluation is the classic interpreted tree walk, and Eval() defines the
+/// expression semantics: expr::VecProgram, the batch form, reproduces it
+/// exactly.
 class Expr {
  public:
   enum class Kind {
@@ -202,6 +204,32 @@ inline bool IsTruthy(const storage::Value& v) {
       return false;
   }
 }
+
+/// int64 arithmetic as Expr::Eval defines it, shared with VecProgram's
+/// kernels: two's complement, so overflow wraps instead of being undefined
+/// and INT64_MIN / -1 wraps to INT64_MIN instead of trapping. Division by
+/// zero is NULL; WrapDiv's callers check for it.
+inline int64_t WrapAdd(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) +
+                              static_cast<uint64_t>(y));
+}
+inline int64_t WrapSub(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) -
+                              static_cast<uint64_t>(y));
+}
+inline int64_t WrapMul(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) *
+                              static_cast<uint64_t>(y));
+}
+inline int64_t WrapNeg(int64_t x) { return WrapSub(0, x); }
+inline int64_t WrapDiv(int64_t x, int64_t y) {
+  return y == -1 ? WrapNeg(x) : x / y;
+}
+
+/// Evaluates a projection list against one row: output cell i is
+/// exprs[i]->Eval(row).
+storage::Row EvalProjection(const std::vector<ExprPtr>& exprs,
+                            const storage::Row& row);
 
 /// Convenience constructors used by the analyzer, tests and benches.
 ExprPtr MakeColumnRef(int index, storage::ValueType type,

@@ -172,14 +172,6 @@ class StepEvaluator {
     }
     sorted_cache_.resize(num_partitions);
     base_rows_cache_.resize(num_partitions);
-    if (shape_.simple) {
-      projector_ = std::make_unique<physical::ProjectionEvaluator>(
-          shape_.project->exprs(), options_.use_codegen);
-      if (shape_.filter != nullptr) {
-        predicate_ = std::make_unique<physical::PredicateEvaluator>(
-            shape_.filter->predicate(), options_.use_codegen);
-      }
-    }
   }
 
   /// `base_binding(table_name, partition)` returns the relation a table
@@ -261,8 +253,8 @@ class StepEvaluator {
       for (int m : matches) {
         base->CopyRowTo(static_cast<size_t>(m), &combined,
                         static_cast<size_t>(base_at));
-        if (predicate_ != nullptr && !predicate_->Eval(combined)) continue;
-        out.push_back(projector_->Eval(combined));
+        if (!Passes(combined)) continue;
+        out.push_back(expr::EvalProjection(shape_.project->exprs(), combined));
       }
     }
     return out;
@@ -339,10 +331,9 @@ class StepEvaluator {
           for (size_t bb = j; bb < j_end; ++bb) {
             const Row& br = base_rows[order[bb]];
             std::copy(br.begin(), br.end(), combined.begin() + base_at);
-            if (predicate_ != nullptr && !predicate_->Eval(combined)) {
-              continue;
-            }
-            out.push_back(projector_->Eval(combined));
+            if (!Passes(combined)) continue;
+            out.push_back(
+                expr::EvalProjection(shape_.project->exprs(), combined));
           }
         }
         i = i_end;
@@ -368,6 +359,12 @@ class StepEvaluator {
     return rel.TakeRows();
   }
 
+  /// The simple shape's optional filter over one joined row.
+  bool Passes(const Row& combined) const {
+    return shape_.filter == nullptr ||
+           expr::IsTruthy(shape_.filter->predicate().Eval(combined));
+  }
+
   static bool KeyLess(const Row& a, const std::vector<int>& ak, const Row& b,
                       const std::vector<int>& bk) {
     for (size_t i = 0; i < ak.size(); ++i) {
@@ -382,8 +379,6 @@ class StepEvaluator {
   const std::map<std::string, const Relation*>* tables_;
   DistFixpointOptions options_;
   size_t batch_rows_ = 0;
-  std::unique_ptr<physical::ProjectionEvaluator> projector_;
-  std::unique_ptr<physical::PredicateEvaluator> predicate_;
   std::vector<std::unique_ptr<physical::JoinHashTable>> hash_cache_;
   std::vector<std::unique_ptr<std::once_flag>> hash_once_;
   std::vector<std::vector<size_t>> sorted_cache_;

@@ -54,6 +54,8 @@ struct CommonFixpointOptions {
   /// Safety valve for non-terminating recursions (the paper's
   /// stratified-SSSP on cyclic graphs, Fig. 1 footnote).
   int64_t max_iterations = 1'000'000;
+  /// Copied into physical::ExecContext::use_codegen (operator fusion);
+  /// answers are the same either way.
   bool use_codegen = true;
   physical::JoinAlgorithm join_algorithm = physical::JoinAlgorithm::kHash;
 

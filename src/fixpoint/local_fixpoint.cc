@@ -115,8 +115,8 @@ Status RunMorselUnits(std::vector<MorselUnit>* units,
   const int num_units = static_cast<int>(units->size());
 
   // Phase A: bind. Pipelines are used regardless of use_codegen — the
-  // bound evaluators honor the flag, so rows and order match the
-  // interpreted oracle either way (executor_test pins this).
+  // morsel split needs one, and a fused pipeline returns the interpreted
+  // tree walk's rows in the same order (executor_test pins this).
   StageStatus bind_failure(std::max(num_units, 1));
   pool->ParallelFor(num_units, [&](int u) {
     MorselUnit& unit = (*units)[u];

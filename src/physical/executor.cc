@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "expr/compiled_expr.h"
 #include "expr/vec_program.h"
 #include "physical/pipeline.h"
 
@@ -77,39 +76,6 @@ void JoinHashTable::ProbeAt(const Relation& probe, size_t row,
                             std::vector<int>* out) const {
   const storage::RowAccessor acc = probe.row(row);
   ProbeChunk(acc.chunk(), acc.chunk_row(), probe_keys, out);
-}
-
-ProjectionEvaluator::ProjectionEvaluator(
-    const std::vector<expr::ExprPtr>& exprs, bool use_codegen) {
-  exprs_.reserve(exprs.size());
-  for (const expr::ExprPtr& e : exprs) {
-    Entry entry;
-    entry.expr = e.get();
-    // Compile only genuinely computational expressions: a bare column
-    // reference or literal is already a single copy, and routing it
-    // through the numeric program would only add conversions.
-    if (use_codegen && e->kind() != expr::Expr::Kind::kColumnRef &&
-        e->kind() != expr::Expr::Kind::kLiteral) {
-      entry.compiled = expr::CompiledExpr::Compile(*e);
-    }
-    exprs_.push_back(std::move(entry));
-  }
-}
-
-Row ProjectionEvaluator::Eval(const Row& input) const {
-  Row out;
-  out.reserve(exprs_.size());
-  for (const Entry& entry : exprs_) {
-    out.push_back(entry.compiled ? entry.compiled->EvalValue(input)
-                                 : entry.expr->Eval(input));
-  }
-  return out;
-}
-
-PredicateEvaluator::PredicateEvaluator(const expr::Expr& predicate,
-                                       bool use_codegen)
-    : expr_(&predicate) {
-  if (use_codegen) compiled_ = expr::CompiledExpr::Compile(predicate);
 }
 
 namespace {
@@ -259,10 +225,10 @@ Result<BorrowedRelation> ExecJoinGeneric(const plan::JoinNode& node,
 Result<BorrowedRelation> ExecFilter(const plan::FilterNode& node,
                               const ExecContext& ctx) {
   RASQL_ASSIGN_OR_RETURN(BorrowedRelation child, Exec(node.child(0), ctx));
-  PredicateEvaluator predicate(node.predicate(), ctx.use_codegen);
+  const expr::Expr& predicate = node.predicate();
   Relation out(node.schema());
   child.rel->ForEachRow([&](const Row& row) {
-    if (predicate.Eval(row)) out.Add(row);
+    if (expr::IsTruthy(predicate.Eval(row))) out.Add(row);
   });
   return Own(std::move(out));
 }
@@ -273,11 +239,10 @@ Result<BorrowedRelation> ExecFilter(const plan::FilterNode& node,
 /// Project(Filter(X)) / Project(Join(X, Y)) special cases).
 Result<BorrowedRelation> ExecProject(const plan::ProjectNode& node,
                                const ExecContext& ctx) {
-  ProjectionEvaluator projector(node.exprs(), ctx.use_codegen);
   Relation out(node.schema());
   RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
   input.rel->ForEachRow([&](const Row& row) {
-    out.Add(projector.Eval(row));
+    out.Add(expr::EvalProjection(node.exprs(), row));
   });
   return Own(std::move(out));
 }
@@ -354,13 +319,11 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
   // Vectorized fast path (DESIGN.md §13, §15): when batch mode is on and
   // no aggregate is DISTINCT, group keys and aggregate arguments evaluate
   // column-at-a-time — plain column references read straight from the
-  // chunk arrays, computed expressions run through expr::VecProgram under
-  // interpreter-mirror semantics (this path always interprets its inputs,
-  // never the compiled double program) — and min/max/sum/count over
-  // non-null int64/double lanes run as typed loops. Group insertion order
-  // (and therefore output order) is identical to the row path; a chunk the
-  // kernels cannot mirror exactly drops to interpreted rows, chunk by
-  // chunk.
+  // chunk arrays, computed expressions run through expr::VecProgram —
+  // and min/max/sum/count over non-null int64/double lanes run as typed
+  // loops. Group insertion order (and therefore output order) is identical
+  // to the row path; a chunk the kernels cannot reproduce exactly drops to
+  // interpreted rows, chunk by chunk.
   bool vectorized = ctx.batch_rows > 0;
   bool groups_plain = true;
   std::vector<int> group_cols(group_exprs.size(), -1);
@@ -372,8 +335,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
       group_cols[i] = static_cast<const expr::ColumnRefExpr&>(g).index();
     } else {
       groups_plain = false;
-      group_progs[i] = expr::VecProgram::Compile(
-          g, expr::VecSemantics::kInterpreterMirror);
+      group_progs[i] = expr::VecProgram::Compile(g);
       if (!group_progs[i]) vectorized = false;
     }
   }
@@ -387,8 +349,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           static_cast<const expr::ColumnRefExpr&>(*items[j].argument)
               .index();
     } else {
-      item_progs[j] = expr::VecProgram::Compile(
-          *items[j].argument, expr::VecSemantics::kInterpreterMirror);
+      item_progs[j] = expr::VecProgram::Compile(*items[j].argument);
       if (!item_progs[j]) vectorized = false;
     }
   }

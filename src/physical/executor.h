@@ -6,10 +6,7 @@
 #include <memory>
 #include <string>
 
-#include <optional>
-
 #include "common/status.h"
-#include "expr/compiled_expr.h"
 #include "plan/logical_plan.h"
 #include "storage/relation.h"
 
@@ -35,9 +32,11 @@ struct ExecContext {
   std::function<const storage::Relation*(const plan::RecursiveRefNode&)>
       recursive_resolver;
 
-  /// Whole-stage-codegen analogue: fuse join+filter+project pipelines and
-  /// run compiled expression programs instead of the interpreted tree
-  /// (paper Sec. 7.3; ablated by bench_fig07).
+  /// Whole-stage-codegen analogue: fuse filter/probe/project chains into
+  /// one PipelineProgram instead of walking the operator tree node by node
+  /// (paper Sec. 7.3; ablated by bench_fig07). An execution strategy only:
+  /// expressions evaluate with Expr::Eval semantics either way, so both
+  /// settings return the same rows.
   bool use_codegen = true;
 
   /// Vectorized batch execution (DESIGN.md §13): when > 0, fused pipelines
@@ -70,38 +69,6 @@ struct BorrowedRelation {
 /// context-owned relations must outlive the result.
 common::Result<BorrowedRelation> ExecuteBorrowed(const plan::LogicalPlan& plan,
                                                  const ExecContext& context);
-
-/// Evaluates a projection list row-by-row, using compiled expression
-/// programs where possible (the codegen fast path).
-class ProjectionEvaluator {
- public:
-  ProjectionEvaluator(const std::vector<expr::ExprPtr>& exprs,
-                      bool use_codegen);
-
-  storage::Row Eval(const storage::Row& input) const;
-
- private:
-  struct Entry {
-    const expr::Expr* expr;
-    std::optional<expr::CompiledExpr> compiled;
-  };
-  std::vector<Entry> exprs_;
-};
-
-/// Predicate evaluator with an optional compiled fast path.
-class PredicateEvaluator {
- public:
-  PredicateEvaluator(const expr::Expr& predicate, bool use_codegen);
-
-  bool Eval(const storage::Row& row) const {
-    if (compiled_) return compiled_->EvalBool(row);
-    return expr::IsTruthy(expr_->Eval(row));
-  }
-
- private:
-  const expr::Expr* expr_;
-  std::optional<expr::CompiledExpr> compiled_;
-};
 
 /// A reusable build-side hash table for a keyed join: maps key hash ->
 /// row indices. The fixpoint evaluator builds these once per base relation

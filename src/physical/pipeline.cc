@@ -90,17 +90,15 @@ Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
     bs.kind = step.kind;
     switch (step.kind) {
       case Step::Kind::kFilter:
-        bs.predicate.emplace(step.filter->predicate(), ctx.use_codegen);
-        // Compile the whole predicate for the batch path, mirroring
-        // whichever scalar engine the row evaluator above will use so both
-        // modes agree bit for bit (expr/vec_program.h).
+        bs.predicate = &step.filter->predicate();
+        // Compile the whole predicate for the batch path; VecProgram
+        // reproduces Expr::Eval, so both modes agree bit for bit.
         if (ctx.batch_rows > 0) {
-          bs.vec_filter = expr::VecProgram::CompileForFilter(
-              step.filter->predicate(), ctx.use_codegen);
+          bs.vec_filter = expr::VecProgram::Compile(*bs.predicate);
         }
         break;
       case Step::Kind::kProject:
-        bs.projector.emplace(step.project->exprs(), ctx.use_codegen);
+        bs.exprs = &step.project->exprs();
         break;
       case Step::Kind::kHashProbe: {
         RASQL_ASSIGN_OR_RETURN(bs.build,
@@ -127,10 +125,12 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
   const BoundStep& bs = steps_[step];
   switch (bs.kind) {
     case PipelineProgram::Step::Kind::kFilter:
-      if (bs.predicate->Eval(row)) PushRow(row, step + 1, scratch, sink);
+      if (expr::IsTruthy(bs.predicate->Eval(row))) {
+        PushRow(row, step + 1, scratch, sink);
+      }
       return;
     case PipelineProgram::Step::Kind::kProject: {
-      Row projected = bs.projector->Eval(row);
+      Row projected = expr::EvalProjection(*bs.exprs, row);
       if (step + 1 == steps_.size()) {
         sink->push_back(std::move(projected));
       } else {

@@ -64,7 +64,7 @@ class PipelineProgram {
 };
 
 /// A PipelineProgram bound to one evaluation context: driver and build
-/// relations resolved, hash tables built, expressions compiled. Run() is
+/// relations resolved, hash tables built, batch filters compiled. Run() is
 /// const and carries its working state on the caller's stack, so one
 /// BoundPipeline may be shared by concurrent morsel tasks evaluating
 /// disjoint RowRanges of the same driver.
@@ -104,11 +104,11 @@ class BoundPipeline {
   friend class PipelineProgram;
   struct BoundStep {
     PipelineProgram::Step::Kind kind;
-    std::optional<PredicateEvaluator> predicate;  // kFilter
-    /// kFilter batch kernel: the predicate compiled for whichever scalar
-    /// engine the row path uses, so batch and row mode agree bit for bit.
+    const expr::Expr* predicate = nullptr;  // kFilter
+    /// kFilter batch kernel: the predicate compiled to expr::VecProgram,
+    /// which reproduces `predicate->Eval` bit for bit.
     std::optional<expr::VecProgram> vec_filter;
-    std::optional<ProjectionEvaluator> projector;  // kProject
+    const std::vector<expr::ExprPtr>* exprs = nullptr;  // kProject
     // kHashProbe: materialized build side + its hash table. The table
     // points into `build.rel`, which is stable under moves (borrowed
     // context relation or heap-owned intermediate).

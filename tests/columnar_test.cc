@@ -283,8 +283,8 @@ TEST(BatchPipelineTest, EveryStepKindMatchesInterpreterRowForRow) {
   cases.push_back({"filter+probe+project", FilterJoinProjectPlan()});
   cases.push_back({"vec-filter-under-probe", FilteredJoinPlan()});
   for (const Case& c : cases) {
-    // codegen on: leading simple filters run as selection-vector kernels;
-    // codegen off: batch mode must fall back to the exact interpreter.
+    // codegen on: the fused pipeline, whose leading filters run as
+    // selection-vector kernels; codegen off: the Volcano tree walk.
     ExpectBatchMatchesRowMode(c.plan, edges, /*use_codegen=*/true, c.label);
     ExpectBatchMatchesRowMode(c.plan, edges, /*use_codegen=*/false, c.label);
   }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "expr/compiled_expr.h"
+#include <cstdint>
+#include <vector>
+
 #include "expr/expr.h"
+#include "expr/vec_program.h"
+#include "storage/relation.h"
 
 namespace rasql::expr {
 namespace {
@@ -99,54 +103,32 @@ TEST(ExprTest, BinaryResultTypeRejectsMismatches) {
             ValueType::kInt64);
 }
 
-TEST(CompiledExprTest, MatchesInterpreterOnArithmetic) {
-  auto e = MakeBinary(
-      BinaryOp::kAdd,
-      MakeBinary(BinaryOp::kMul, MakeColumnRef(0, ValueType::kInt64),
-                 MakeColumnRef(1, ValueType::kDouble)),
-      MakeLiteral(Value::Int(3)));
-  auto compiled = CompiledExpr::Compile(*e);
-  ASSERT_TRUE(compiled.has_value());
-  const Row row = TestRow();
-  EXPECT_DOUBLE_EQ(compiled->EvalNumeric(row),
-                   e->Eval(row).AsNumeric());
+TEST(ExprTest, Int64ArithmeticWraps) {
+  const Row row = {Value::Int(INT64_MIN), Value::Int(INT64_MAX),
+                   Value::Int(-1), Value::Int(0)};
+  auto col = [](int i) { return MakeColumnRef(i, ValueType::kInt64); };
+  auto eval = [&](BinaryOp op, int l, int r) {
+    return MakeBinary(op, col(l), col(r))->Eval(row);
+  };
+  EXPECT_EQ(eval(BinaryOp::kAdd, 1, 1).AsInt(), -2);
+  EXPECT_EQ(eval(BinaryOp::kSub, 0, 1).AsInt(), 1);
+  EXPECT_EQ(eval(BinaryOp::kMul, 0, 2).AsInt(), INT64_MIN);
+  EXPECT_EQ(eval(BinaryOp::kDiv, 0, 2).AsInt(), INT64_MIN);  // no trap
+  EXPECT_TRUE(eval(BinaryOp::kDiv, 0, 3).is_null());
+  EXPECT_EQ(NegateExpr(col(0)).Eval(row).AsInt(), INT64_MIN);
 }
 
-TEST(CompiledExprTest, MatchesInterpreterOnPredicates) {
-  auto e = MakeBinary(
-      BinaryOp::kAnd,
-      MakeBinary(BinaryOp::kLt, MakeColumnRef(3, ValueType::kInt64),
-                 MakeLiteral(Value::Int(0))),
-      MakeBinary(BinaryOp::kGe, MakeColumnRef(0, ValueType::kInt64),
-                 MakeLiteral(Value::Int(10))));
-  auto compiled = CompiledExpr::Compile(*e);
-  ASSERT_TRUE(compiled.has_value());
-  EXPECT_TRUE(compiled->EvalBool(TestRow()));
-}
-
-TEST(CompiledExprTest, RejectsStringExpressions) {
-  auto e = MakeBinary(BinaryOp::kEq, MakeColumnRef(2, ValueType::kString),
-                      MakeLiteral(Value::String("abc")));
-  EXPECT_FALSE(CompiledExpr::Compile(*e).has_value());
-}
-
-TEST(CompiledExprTest, OutputTypePreserved) {
-  auto e = MakeBinary(BinaryOp::kAdd, MakeColumnRef(0, ValueType::kInt64),
-                      MakeLiteral(Value::Int(1)));
-  auto compiled = CompiledExpr::Compile(*e);
-  ASSERT_TRUE(compiled.has_value());
-  const Value v = compiled->EvalValue(TestRow());
-  EXPECT_EQ(v.type(), ValueType::kInt64);
-  EXPECT_EQ(v.AsInt(), 11);
-}
-
-// Property sweep: interpreted and compiled evaluation agree on a family of
-// random-ish expressions over varying row contents.
+// Property sweep: the interpreted tree and its compiled batch program
+// (VecProgram) agree on a family of expressions over varying row contents.
 class CompiledVsInterpreted : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompiledVsInterpreted, Agree) {
   const int64_t x = GetParam();
-  Row row = {Value::Int(x), Value::Double(x * 0.5), Value::Int(x - 7)};
+  const Row row = {Value::Int(x), Value::Double(x * 0.5), Value::Int(x - 7)};
+  storage::Relation rel(storage::Schema::Of({{"X", ValueType::kInt64},
+                                             {"H", ValueType::kDouble},
+                                             {"Y", ValueType::kInt64}}));
+  rel.AppendRow(row);
   auto e = MakeBinary(
       BinaryOp::kOr,
       MakeBinary(BinaryOp::kGt,
@@ -156,9 +138,12 @@ TEST_P(CompiledVsInterpreted, Agree) {
                  MakeLiteral(Value::Int(0))),
       MakeBinary(BinaryOp::kLe, MakeColumnRef(1, ValueType::kDouble),
                  MakeLiteral(Value::Double(-2.0))));
-  auto compiled = CompiledExpr::Compile(*e);
+  auto compiled = VecProgram::Compile(*e);
   ASSERT_TRUE(compiled.has_value());
-  EXPECT_EQ(compiled->EvalBool(row), IsTruthy(e->Eval(row)));
+  VecProgram::Scratch scratch;
+  std::vector<uint32_t> sel = {0};
+  ASSERT_TRUE(compiled->FilterChunk(rel.chunk(0), &sel, &scratch));
+  EXPECT_EQ(!sel.empty(), IsTruthy(e->Eval(row)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CompiledVsInterpreted,

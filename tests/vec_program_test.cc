@@ -1,10 +1,12 @@
 // Property suite for the vectorized expression layer (DESIGN.md §15):
 // randomized expression trees over mixed int64/double/string chunks with
 // nulls and NaN, evaluated by expr::VecProgram column-at-a-time and by the
-// scalar engine it mirrors — the interpreted Expr tree or CompiledExpr —
-// must produce exactly the same Values (bit-identical doubles) and the same
-// filter survivors. Chunk shapes the kernels cannot mirror must be declined
-// (return false, selection vector untouched), never answered approximately.
+// interpreted Expr tree, must produce exactly the same Values (bit-identical
+// doubles) and the same filter survivors. Chunk shapes the kernels cannot
+// reproduce must be declined (return false, selection vector untouched),
+// never answered approximately. Every tree also runs as a Filter and a
+// Project plan through physical::Execute at codegen on/off x batch {0, 64}:
+// fused or not, batched or not, a plan returns what Expr::Eval says.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +18,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "expr/compiled_expr.h"
 #include "expr/expr.h"
 #include "expr/vec_program.h"
+#include "physical/executor.h"
+#include "plan/logical_plan.h"
 #include "storage/relation.h"
 
 namespace rasql {
@@ -26,12 +29,10 @@ namespace {
 
 using common::Rng;
 using expr::BinaryOp;
-using expr::CompiledExpr;
 using expr::Expr;
 using expr::ExprPtr;
 using expr::VecBatch;
 using expr::VecProgram;
-using expr::VecSemantics;
 using storage::ColumnChunk;
 using storage::Relation;
 using storage::Row;
@@ -71,8 +72,8 @@ std::string Describe(const Value& v) {
 // ---- Random data ---------------------------------------------------------
 
 // Columns: I (int64), D (double, with NaN lanes), S (dictionary string),
-// J (second int64). Small magnitudes keep every arithmetic result — and
-// CompiledExpr's final double→int64 cast — well inside int64 range.
+// J (second int64). Small magnitudes keep every int64 product of a depth-4
+// tree well inside int64 range.
 Relation RandomRelation(Rng* rng, size_t n, bool with_nulls) {
   const char* pool[] = {"a", "b", "c", "dd"};
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -137,15 +138,10 @@ ExprPtr GenExpr(Rng* rng, int depth, const std::vector<ValueType>& cols) {
     static const BinaryOp kArith[] = {BinaryOp::kAdd, BinaryOp::kSub,
                                       BinaryOp::kMul, BinaryOp::kDiv};
     const BinaryOp op = kArith[pick];
-    ExprPtr lhs = GenExpr(rng, depth - 1, cols);
-    // Division keeps a nonzero literal denominator: x/0 is NULL in the
-    // interpreter but +-inf in CompiledExpr's all-double program, and a
-    // final inf→int64 cast would be UB. The interpreter's zero-denominator
-    // arm has its own directed test below.
-    ExprPtr rhs = op == BinaryOp::kDiv
-                      ? expr::MakeLiteral(Value::Int(rng->NextInRange(1, 9)))
-                      : GenExpr(rng, depth - 1, cols);
-    return expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+    // Denominators are arbitrary subtrees, so integer x/0 (NULL) and
+    // double x/0 (+-inf, NaN) both occur.
+    return expr::MakeBinary(op, GenExpr(rng, depth - 1, cols),
+                            GenExpr(rng, depth - 1, cols));
   }
   if (pick < 10) {
     static const BinaryOp kCmp[] = {BinaryOp::kEq, BinaryOp::kNe,
@@ -170,10 +166,8 @@ ExprPtr GenExpr(Rng* rng, int depth, const std::vector<ValueType>& cols) {
 // ---- The property --------------------------------------------------------
 
 struct Coverage {
-  int interp_compiled = 0;
-  int interp_vectorized = 0;
-  int mirror_compiled = 0;
-  int mirror_vectorized = 0;
+  int compiled = 0;
+  int vectorized = 0;
 };
 
 std::vector<uint32_t> Identity(size_t n) {
@@ -182,63 +176,90 @@ std::vector<uint32_t> Identity(size_t n) {
   return sel;
 }
 
-// Runs `e` through both vectorized semantics over `chunk` and checks each
-// against its scalar oracle on the materialized `rows`.
+// Runs `e` through VecProgram over `chunk` and checks it against Expr::Eval
+// on the materialized `rows`.
 void CheckExpr(const Expr& e, const ColumnChunk& chunk,
                const std::vector<Row>& rows, Coverage* cov) {
+  auto vp = VecProgram::Compile(e);
+  if (!vp) return;
+  ++cov->compiled;
   const size_t n = rows.size();
   const std::vector<uint32_t> identity = Identity(n);
   VecProgram::Scratch scratch;
   VecBatch out;
-
-  if (auto vp = VecProgram::Compile(e, VecSemantics::kInterpreterMirror)) {
-    ++cov->interp_compiled;
-    if (vp->EvalChunk(chunk, identity.data(), n, &scratch, &out)) {
-      ++cov->interp_vectorized;
-      for (size_t i = 0; i < n; ++i) {
-        const Value expect = e.Eval(rows[i]);
-        ASSERT_TRUE(SameValue(out.ValueAt(i), expect))
-            << e.ToString() << " row " << i << ": vec="
-            << Describe(out.ValueAt(i)) << " interp=" << Describe(expect);
-      }
-    }
-    std::vector<uint32_t> sel = Identity(n);
-    if (vp->FilterChunk(chunk, &sel, &scratch)) {
-      std::vector<uint32_t> expect;
-      for (size_t i = 0; i < n; ++i) {
-        if (expr::IsTruthy(e.Eval(rows[i]))) {
-          expect.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      ASSERT_EQ(sel, expect) << e.ToString();
-    } else {
-      ASSERT_EQ(sel, identity) << e.ToString()
-                               << ": fallback must leave sel untouched";
+  if (vp->EvalChunk(chunk, identity.data(), n, &scratch, &out)) {
+    ++cov->vectorized;
+    for (size_t i = 0; i < n; ++i) {
+      const Value expect = e.Eval(rows[i]);
+      ASSERT_TRUE(SameValue(out.ValueAt(i), expect))
+          << e.ToString() << " row " << i << ": vec="
+          << Describe(out.ValueAt(i)) << " interp=" << Describe(expect);
     }
   }
-
-  if (auto ce = CompiledExpr::Compile(e)) {
-    // Whatever CompiledExpr accepts, the compiled mirror must accept: the
-    // row path would run the codegen engine, so batch mode has to follow.
-    auto vp = VecProgram::Compile(e, VecSemantics::kCompiledMirror);
-    ASSERT_TRUE(vp.has_value()) << e.ToString();
-    ++cov->mirror_compiled;
-    if (vp->EvalChunk(chunk, identity.data(), n, &scratch, &out)) {
-      ++cov->mirror_vectorized;
-      for (size_t i = 0; i < n; ++i) {
-        const Value expect = ce->EvalValue(rows[i]);
-        ASSERT_TRUE(SameValue(out.ValueAt(i), expect))
-            << e.ToString() << " row " << i << ": vec="
-            << Describe(out.ValueAt(i)) << " codegen=" << Describe(expect);
+  std::vector<uint32_t> sel = Identity(n);
+  if (vp->FilterChunk(chunk, &sel, &scratch)) {
+    std::vector<uint32_t> expect;
+    for (size_t i = 0; i < n; ++i) {
+      if (expr::IsTruthy(e.Eval(rows[i]))) {
+        expect.push_back(static_cast<uint32_t>(i));
       }
     }
-    std::vector<uint32_t> sel = Identity(n);
-    if (vp->FilterChunk(chunk, &sel, &scratch)) {
-      std::vector<uint32_t> expect;
-      for (size_t i = 0; i < n; ++i) {
-        if (ce->EvalBool(rows[i])) expect.push_back(static_cast<uint32_t>(i));
+    ASSERT_EQ(sel, expect) << e.ToString();
+  } else {
+    ASSERT_EQ(sel, identity) << e.ToString()
+                             << ": fallback must leave sel untouched";
+  }
+}
+
+// Runs `e` as Filter(Scan t) and Project(Scan t) plans at every codegen x
+// batch setting and checks each output cell against Expr::Eval on `rows`.
+void CheckPlans(const Expr& e, const Relation& rel,
+                const std::vector<Row>& rows) {
+  std::vector<Row> filtered;
+  std::vector<Row> projected;
+  for (const Row& row : rows) {
+    const Value v = e.Eval(row);
+    if (expr::IsTruthy(v)) filtered.push_back(row);
+    projected.push_back({v});
+  }
+  const plan::PlanPtr filter = std::make_unique<plan::FilterNode>(
+      std::make_unique<plan::TableScanNode>("t", rel.schema()), e.Clone());
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(e.Clone());
+  const plan::PlanPtr project = std::make_unique<plan::ProjectNode>(
+      std::make_unique<plan::TableScanNode>("t", rel.schema()),
+      std::move(exprs), Schema::Of({{"E", e.output_type()}}));
+
+  physical::ExecContext ctx;
+  ctx.tables["t"] = &rel;
+  for (const bool codegen : {true, false}) {
+    for (const size_t batch : {size_t{0}, size_t{64}}) {
+      ctx.use_codegen = codegen;
+      ctx.batch_rows = batch;
+      const struct {
+        const char* label;
+        const plan::PlanPtr& plan;
+        const std::vector<Row>& expect;
+      } cases[] = {{"filter", filter, filtered},
+                   {"project", project, projected}};
+      for (const auto& c : cases) {
+        auto got = physical::Execute(*c.plan, ctx);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(got->size(), c.expect.size())
+            << c.label << " " << e.ToString() << " codegen=" << codegen
+            << " batch=" << batch;
+        for (size_t i = 0; i < c.expect.size(); ++i) {
+          const Row row = got->GetRow(i);
+          ASSERT_EQ(row.size(), c.expect[i].size());
+          for (size_t k = 0; k < row.size(); ++k) {
+            ASSERT_TRUE(SameValue(row[k], c.expect[i][k]))
+                << c.label << " " << e.ToString() << " codegen=" << codegen
+                << " batch=" << batch << " row " << i << ": got "
+                << Describe(row[k]) << ", Expr::Eval "
+                << Describe(c.expect[i][k]);
+          }
+        }
       }
-      ASSERT_EQ(sel, expect) << e.ToString();
     }
   }
 }
@@ -256,12 +277,12 @@ void RunProperty(uint64_t seed, bool with_nulls) {
     ExprPtr e = GenExpr(&rng, 4, cols);
     CheckExpr(*e, chunk, rows, &cov);
     if (::testing::Test::HasFatalFailure()) return;
+    CheckPlans(*e, rel, rows);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // The suite is vacuous if everything fell back; demand real vector runs.
-  EXPECT_GT(cov.interp_compiled, 100);
-  EXPECT_GT(cov.interp_vectorized, 50);
-  EXPECT_GT(cov.mirror_compiled, 50);
-  EXPECT_GT(cov.mirror_vectorized, 25);
+  EXPECT_GT(cov.compiled, 100);
+  EXPECT_GT(cov.vectorized, 50);
 }
 
 TEST(VecProgramProperty, RandomTreesOverCleanChunks) {
@@ -287,7 +308,7 @@ TEST(VecProgramTest, IntegerDivisionByZeroColumnIsNull) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kDiv,
                                expr::MakeColumnRef(0, ValueType::kInt64),
                                expr::MakeColumnRef(1, ValueType::kInt64));
-  auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
+  auto vp = VecProgram::Compile(*e);
   ASSERT_TRUE(vp.has_value());
   const std::vector<uint32_t> identity = Identity(rel.size());
   VecProgram::Scratch scratch;
@@ -304,12 +325,41 @@ TEST(VecProgramTest, IntegerDivisionByZeroColumnIsNull) {
   }
 }
 
+TEST(VecProgramTest, Int64OverflowWrapsLikeTheInterpreter) {
+  Relation rel(Schema::Of({{"A", ValueType::kInt64},
+                           {"B", ValueType::kInt64}}));
+  const int64_t extremes[] = {INT64_MIN, INT64_MIN + 1, -2, -1, 0,
+                              1,         2,             INT64_MAX};
+  for (int64_t a : extremes) {
+    for (int64_t b : extremes) rel.AppendRow({Value::Int(a), Value::Int(b)});
+  }
+  auto col = [](int i) { return expr::MakeColumnRef(i, ValueType::kInt64); };
+  std::vector<ExprPtr> exprs;
+  for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                      BinaryOp::kDiv}) {
+    exprs.push_back(expr::MakeBinary(op, col(0), col(1)));
+  }
+  exprs.push_back(std::make_unique<expr::NegateExpr>(col(0)));
+  const std::vector<uint32_t> identity = Identity(rel.size());
+  for (const ExprPtr& e : exprs) {
+    auto vp = VecProgram::Compile(*e);
+    ASSERT_TRUE(vp.has_value());
+    VecProgram::Scratch scratch;
+    VecBatch out;
+    ASSERT_TRUE(vp->EvalChunk(rel.chunk(0), identity.data(), rel.size(),
+                              &scratch, &out));
+    for (size_t i = 0; i < rel.size(); ++i) {
+      Row row;
+      rel.chunk(0).MaterializeRow(i, &row);
+      EXPECT_TRUE(SameValue(out.ValueAt(i), e->Eval(row)))
+          << e->ToString() << " row " << i;
+    }
+  }
+}
+
 TEST(VecProgramTest, BoxedVariantChunksSplitByEngine) {
-  // A column that mixes int64 and string boxes the chunk. The interpreter
-  // mirror must hand the whole chunk back rather than guess; the compiled
-  // mirror keeps going, because CompiledExpr itself loads ANY Value as a
-  // numeric double (strings read as 0.0) and the kernel reproduces that
-  // per boxed row.
+  // A column that mixes int64 and string boxes the chunk. The kernels must
+  // hand the whole chunk back to the row engine rather than guess.
   Relation rel(Schema::Of({{"A", ValueType::kInt64}}));
   rel.AppendRow({Value::Int(1)});
   rel.AppendRow({Value::String("boxed")});
@@ -317,33 +367,15 @@ TEST(VecProgramTest, BoxedVariantChunksSplitByEngine) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kLt,
                                expr::MakeColumnRef(0, ValueType::kInt64),
                                expr::MakeLiteral(Value::Int(2)));
-  {
-    auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
-    ASSERT_TRUE(vp.has_value());
-    VecProgram::Scratch scratch;
-    std::vector<uint32_t> sel = Identity(rel.size());
-    EXPECT_FALSE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
-    EXPECT_EQ(sel, Identity(rel.size()));
-    VecBatch out;
-    EXPECT_FALSE(vp->EvalChunk(rel.chunk(0), sel.data(), sel.size(),
-                               &scratch, &out));
-  }
-  {
-    auto ce = CompiledExpr::Compile(*e);
-    ASSERT_TRUE(ce.has_value());
-    auto vp = VecProgram::Compile(*e, VecSemantics::kCompiledMirror);
-    ASSERT_TRUE(vp.has_value());
-    VecProgram::Scratch scratch;
-    std::vector<uint32_t> sel = Identity(rel.size());
-    ASSERT_TRUE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
-    std::vector<uint32_t> expect;
-    for (size_t i = 0; i < rel.size(); ++i) {
-      Row row;
-      rel.chunk(0).MaterializeRow(i, &row);
-      if (ce->EvalBool(row)) expect.push_back(static_cast<uint32_t>(i));
-    }
-    EXPECT_EQ(sel, expect);
-  }
+  auto vp = VecProgram::Compile(*e);
+  ASSERT_TRUE(vp.has_value());
+  VecProgram::Scratch scratch;
+  std::vector<uint32_t> sel = Identity(rel.size());
+  EXPECT_FALSE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
+  EXPECT_EQ(sel, Identity(rel.size()));
+  VecBatch out;
+  EXPECT_FALSE(vp->EvalChunk(rel.chunk(0), sel.data(), sel.size(), &scratch,
+                             &out));
 }
 
 TEST(VecProgramTest, StringVersusNumericComparisonFallsBack) {
@@ -354,32 +386,12 @@ TEST(VecProgramTest, StringVersusNumericComparisonFallsBack) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kEq,
                                expr::MakeColumnRef(0, ValueType::kString),
                                expr::MakeColumnRef(1, ValueType::kInt64));
-  auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
+  auto vp = VecProgram::Compile(*e);
   ASSERT_TRUE(vp.has_value());
   VecProgram::Scratch scratch;
   std::vector<uint32_t> sel = Identity(rel.size());
   EXPECT_FALSE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
   EXPECT_EQ(sel, Identity(rel.size()));
-}
-
-TEST(VecProgramTest, CompileForFilterPicksTheRowEngine) {
-  // Numeric predicate + codegen on -> compiled mirror; codegen off, or a
-  // string shape CompiledExpr rejects -> interpreter mirror.
-  ExprPtr numeric = expr::MakeBinary(
-      BinaryOp::kLt, expr::MakeColumnRef(0, ValueType::kInt64),
-      expr::MakeLiteral(Value::Int(5)));
-  ExprPtr stringy = expr::MakeBinary(
-      BinaryOp::kEq, expr::MakeColumnRef(0, ValueType::kString),
-      expr::MakeLiteral(Value::String("a")));
-  auto on = VecProgram::CompileForFilter(*numeric, /*use_codegen=*/true);
-  ASSERT_TRUE(on.has_value());
-  EXPECT_EQ(on->semantics(), VecSemantics::kCompiledMirror);
-  auto off = VecProgram::CompileForFilter(*numeric, /*use_codegen=*/false);
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(off->semantics(), VecSemantics::kInterpreterMirror);
-  auto str = VecProgram::CompileForFilter(*stringy, /*use_codegen=*/true);
-  ASSERT_TRUE(str.has_value());
-  EXPECT_EQ(str->semantics(), VecSemantics::kInterpreterMirror);
 }
 
 }  // namespace
