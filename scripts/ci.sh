@@ -77,12 +77,15 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 "${TSAN_BUILD_DIR}/tests/dist_test" --gtest_filter='*SortedCollect*'
 
 # Morsel-split matrix under TSan: split sub-tasks write caller-owned slots
-# concurrently with finalize tasks being released per partition, and the
-# lazy per-partition hash build runs under call_once from several threads.
-# The determinism matrix (threads {1,2,8} × morsel on/off × batch on/off,
-# local and distributed) is exactly the schedule TSan must see clean.
+# concurrently with finalize tasks being released per partition. A cached
+# recursive-step pipeline is shared by a partition's concurrent sub-tasks
+# (distributed: bound lazily under call_once from several threads) and, on
+# the local path, by every partition's tasks. The determinism matrix
+# (threads {1,2,8} × morsel on/off × batch on/off, local and distributed)
+# and the recursive-step shape cases (ref on the right, SG's two-join
+# spine, a filtered step) are exactly the schedules TSan must see clean.
 "${TSAN_BUILD_DIR}/tests/morsel_test" \
-  --gtest_filter='*MorselMatrix*:*MorselSplit*'
+  --gtest_filter='*MorselMatrix*:*MorselSplit*:*RecursiveStepShapes*'
 
 # Batch-mode matrix under TSan: one BoundPipeline is shared by concurrent
 # morsel tasks whose RunBatch keeps selection vectors and VecProgram

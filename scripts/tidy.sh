@@ -53,7 +53,19 @@ if grep -rn 'CompiledExpr\|kCompiledMirror\|EvalNumeric' src tests bench \
        "expr::VecProgram only; a second engine may not change answers" >&2
   exit 1
 fi
-echo "tidy.sh: columnar-API and expression-semantics grep gates passed"
+# 5. The recursive step has one evaluator, physical::BoundPipeline behind
+#    fixpoint::RecursiveStep (DESIGN.md §10); the distributed driver's
+#    hand-written fused-hash, sort-merge and generic step paths and the
+#    relaxed-atomic stage counter knob were deleted and may not return.
+if grep -rn 'StepEvaluator\|EvalFusedHash\|EvalSortMerge\|EvalGeneric\|deterministic_reduce' \
+    src tests bench examples --include='*.cc' --include='*.h' \
+    --include='*.cpp'; then
+  echo "tidy.sh: FAIL — recursive steps run through fixpoint::RecursiveStep" \
+       "(one BoundPipeline, or the executor's tree walk) only" >&2
+  exit 1
+fi
+echo "tidy.sh: columnar-API, expression-semantics and step-evaluator grep" \
+     "gates passed"
 
 TIDY_BIN=${TIDY_BIN:-clang-tidy}
 if ! command -v "${TIDY_BIN}" >/dev/null 2>&1; then

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "expr/expr.h"
 
 namespace rasql::dist {
 
@@ -36,7 +37,7 @@ Value CombineAgg(AggregateFunction function, const Value& a, const Value& b) {
       // contributions accumulate; int-typed inputs stay int.
       if (a.type() == storage::ValueType::kInt64 &&
           b.type() == storage::ValueType::kInt64) {
-        return Value::Int(a.AsInt() + b.AsInt());
+        return Value::Int(expr::WrapAdd(a.AsInt(), b.AsInt()));
       }
       return Value::Double(a.AsNumeric() + b.AsNumeric());
     case AggregateFunction::kNone:

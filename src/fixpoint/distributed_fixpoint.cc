@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include "common/check.h"
@@ -11,6 +12,7 @@
 #include "dist/partition.h"
 #include "dist/set_rdd.h"
 #include "dist/shuffle.h"
+#include "fixpoint/recursive_step.h"
 #include "fixpoint/warm_state.h"
 #include "runtime/stage_accumulators.h"
 #include "storage/row_range.h"
@@ -38,7 +40,9 @@ using storage::Row;
 
 namespace {
 
-/// Structural analysis of one recursive branch plan (see DESIGN.md §4).
+/// Structural analysis of one recursive branch plan (see DESIGN.md §4):
+/// what the orchestration needs to pick the partition key, co-partition
+/// the base side and decide decomposed evaluation.
 struct StepShape {
   const RecursiveRefNode* ref = nullptr;
   /// Join keys on the delta side (positions in the view schema); empty
@@ -47,15 +51,6 @@ struct StepShape {
   /// Direct join partner when it is a plain table scan (co-partitionable).
   const plan::TableScanNode* copart_table = nullptr;
   std::vector<int> copart_keys;
-  bool ref_is_left = true;
-  /// Simple pipeline Project(Filter?(Join(ref, scan))) — eligible for the
-  /// fused cached-hash step evaluator.
-  bool simple = false;
-  const plan::ProjectNode* project = nullptr;
-  const plan::FilterNode* filter = nullptr;
-  const plan::JoinNode* join = nullptr;
-  /// Column offset of the reference inside the pipeline's concatenated row.
-  int ref_offset = 0;
   /// Output positions copied verbatim from the same position of the ref —
   /// the partition-preserving columns enabling decomposed evaluation.
   std::vector<int> passthrough;
@@ -89,14 +84,12 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
 
   // Walk the pipeline: Project [Filter] <join tree>.
   const LogicalPlan* node = &plan;
+  const plan::ProjectNode* project = nullptr;
   if (node->kind() == PlanKind::kProject) {
-    shape.project = static_cast<const plan::ProjectNode*>(node);
+    project = static_cast<const plan::ProjectNode*>(node);
     node = &node->child(0);
   }
-  if (node->kind() == PlanKind::kFilter) {
-    shape.filter = static_cast<const plan::FilterNode*>(node);
-    node = &node->child(0);
-  }
+  if (node->kind() == PlanKind::kFilter) node = &node->child(0);
   const LogicalPlan* tree = node;
 
   // Find the join whose direct child is the recursive ref.
@@ -116,33 +109,28 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
   };
   const plan::JoinNode* parent = find_parent_join(*tree);
   if (parent != nullptr && !parent->is_cross()) {
-    shape.join = parent;
-    shape.ref_is_left = &parent->child(0) == shape.ref;
+    const bool ref_is_left = &parent->child(0) == shape.ref;
     shape.delta_keys =
-        shape.ref_is_left ? parent->left_keys() : parent->right_keys();
+        ref_is_left ? parent->left_keys() : parent->right_keys();
     const LogicalPlan& other =
-        shape.ref_is_left ? parent->child(1) : parent->child(0);
+        ref_is_left ? parent->child(1) : parent->child(0);
     if (other.kind() == PlanKind::kTableScan) {
       shape.copart_table = static_cast<const plan::TableScanNode*>(&other);
       shape.copart_keys =
-          shape.ref_is_left ? parent->right_keys() : parent->left_keys();
+          ref_is_left ? parent->right_keys() : parent->left_keys();
     }
   }
 
-  // Simple fused shape: the join with the ref is the whole tree.
-  shape.simple = shape.project != nullptr && shape.join == tree &&
-                 shape.copart_table != nullptr;
+  int ref_offset = 0;
+  if (!FindRefOffset(*tree, shape.ref, &ref_offset)) ref_offset = 0;
 
-  int offset = 0;
-  if (FindRefOffset(*tree, shape.ref, &offset)) shape.ref_offset = offset;
-
-  if (shape.project != nullptr) {
-    const auto& exprs = shape.project->exprs();
+  if (project != nullptr) {
+    const auto& exprs = project->exprs();
     for (size_t i = 0; i < exprs.size(); ++i) {
       if (exprs[i]->kind() == expr::Expr::Kind::kColumnRef) {
         const int g =
             static_cast<const expr::ColumnRefExpr&>(*exprs[i]).index();
-        if (g == shape.ref_offset + static_cast<int>(i) &&
+        if (g == ref_offset + static_cast<int>(i) &&
             static_cast<int>(i) < shape.ref->schema().num_columns()) {
           shape.passthrough.push_back(static_cast<int>(i));
         }
@@ -151,240 +139,6 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
   }
   return shape;
 }
-
-/// Evaluates one recursive branch against a delta partition, reusing
-/// per-partition cached join structures across iterations (paper App. D).
-class StepEvaluator {
- public:
-  StepEvaluator(const LogicalPlan& plan, StepShape shape,
-                const std::map<std::string, const Relation*>& tables,
-                const DistFixpointOptions& options, int num_partitions,
-                size_t batch_rows)
-      : plan_(&plan),
-        shape_(std::move(shape)),
-        tables_(&tables),
-        options_(options),
-        batch_rows_(batch_rows) {
-    hash_cache_.resize(num_partitions);
-    hash_once_.reserve(num_partitions);
-    for (int p = 0; p < num_partitions; ++p) {
-      hash_once_.push_back(std::make_unique<std::once_flag>());
-    }
-    sorted_cache_.resize(num_partitions);
-    base_rows_cache_.resize(num_partitions);
-  }
-
-  /// `base_binding(table_name, partition)` returns the relation a table
-  /// scan should read in this partition (a co-partitioned slice or the
-  /// broadcast whole).
-  using BaseBinding =
-      std::function<const Relation*(const std::string&, int)>;
-
-  Result<std::vector<Row>> Eval(const Relation& delta, int partition,
-                                const BaseBinding& base_binding) {
-    if (shape_.simple && options_.join_algorithm ==
-                             physical::JoinAlgorithm::kHash) {
-      return EvalFusedHash(delta, {0, delta.size()}, partition,
-                           base_binding);
-    }
-    if (shape_.simple &&
-        options_.join_algorithm == physical::JoinAlgorithm::kSortMerge) {
-      return EvalSortMerge(delta, partition, base_binding);
-    }
-    return EvalGeneric(delta, partition, base_binding);
-  }
-
-  /// True when this step may be evaluated over delta sub-ranges whose
-  /// concatenation (in range order) equals the whole-delta output: the
-  /// fused hash path iterates the delta in row order against a per-
-  /// partition cached build side. Sort-merge re-sorts the delta and the
-  /// generic path hands the whole delta to the executor — neither is
-  /// range-decomposable, so they run as one whole-range sub-task.
-  bool DeltaSplittable() const {
-    return shape_.simple &&
-           options_.join_algorithm == physical::JoinAlgorithm::kHash;
-  }
-
-  /// Range form for morsel sub-tasks. Concurrent sub-tasks of the same
-  /// partition may call this; the per-partition hash-table build is
-  /// guarded by a once_flag and everything else is call-local.
-  Result<std::vector<Row>> Eval(const Relation& delta,
-                                storage::RowRange range, int partition,
-                                const BaseBinding& base_binding) {
-    RASQL_CHECK(DeltaSplittable());
-    return EvalFusedHash(delta, range, partition, base_binding);
-  }
-
- private:
-  Result<std::vector<Row>> EvalFusedHash(const Relation& delta,
-                                         storage::RowRange range,
-                                         int partition,
-                                         const BaseBinding& base_binding) {
-    const Relation* base =
-        base_binding(shape_.copart_table->table_name(), partition);
-    if (base == nullptr) {
-      return Status::ExecutionError("missing base binding for '" +
-                                    shape_.copart_table->table_name() + "'");
-    }
-    // Build the base-side hash table once per partition and reuse it in
-    // every iteration (the cached shuffle-hash join of App. D). call_once
-    // because same-partition morsel sub-tasks may race to build it.
-    std::call_once(*hash_once_[partition], [&] {
-      hash_cache_[partition] = std::make_unique<physical::JoinHashTable>(
-          *base, shape_.copart_keys);
-    });
-    const physical::JoinHashTable& table = *hash_cache_[partition];
-
-    std::vector<Row> out;
-    std::vector<int> matches;
-    const int ref_width = shape_.ref->schema().num_columns();
-    const int base_width = base->schema().num_columns();
-    Row combined(ref_width + base_width);
-    const int ref_at = shape_.ref_is_left ? 0 : base_width;
-    const int base_at = shape_.ref_is_left ? ref_width : 0;
-    const size_t end = std::min(range.end, delta.size());
-    for (size_t i = range.begin; i < end; ++i) {
-      matches.clear();
-      // Column-wise probe: the key cells hash straight out of the delta's
-      // chunks; the delta row is copied into `combined` only on a match.
-      table.ProbeAt(delta, i, shape_.delta_keys, &matches);
-      if (matches.empty()) continue;
-      delta.CopyRowTo(i, &combined, static_cast<size_t>(ref_at));
-      for (int m : matches) {
-        base->CopyRowTo(static_cast<size_t>(m), &combined,
-                        static_cast<size_t>(base_at));
-        if (!Passes(combined)) continue;
-        out.push_back(expr::EvalProjection(shape_.project->exprs(), combined));
-      }
-    }
-    return out;
-  }
-
-  Result<std::vector<Row>> EvalSortMerge(const Relation& delta,
-                                         int partition,
-                                         const BaseBinding& base_binding) {
-    const Relation* base =
-        base_binding(shape_.copart_table->table_name(), partition);
-    if (base == nullptr) {
-      return Status::ExecutionError("missing base binding for '" +
-                                    shape_.copart_table->table_name() + "'");
-    }
-    // Sort (and materialize) the base side once per partition; sort the
-    // delta every iteration (this is why sort-merge loses to cached
-    // shuffle-hash in Fig. 11 while using less memory).
-    if (sorted_cache_[partition].empty() && !base->empty()) {
-      base_rows_cache_[partition] = base->MaterializeRows();
-      const std::vector<Row>& brows = base_rows_cache_[partition];
-      auto& order = sorted_cache_[partition];
-      order.resize(base->size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return KeyLess(brows[a], shape_.copart_keys, brows[b],
-                       shape_.copart_keys);
-      });
-    }
-    const std::vector<Row>& base_rows = base_rows_cache_[partition];
-    std::vector<Row> delta_rows = delta.MaterializeRows();
-    std::vector<const Row*> deltas;
-    deltas.reserve(delta_rows.size());
-    for (const Row& d : delta_rows) deltas.push_back(&d);
-    std::sort(deltas.begin(), deltas.end(), [&](const Row* a, const Row* b) {
-      return KeyLess(*a, shape_.delta_keys, *b, shape_.delta_keys);
-    });
-
-    std::vector<Row> out;
-    const int ref_width = shape_.ref->schema().num_columns();
-    const int base_width = base->schema().num_columns();
-    Row combined(ref_width + base_width);
-    const int ref_at = shape_.ref_is_left ? 0 : base_width;
-    const int base_at = shape_.ref_is_left ? ref_width : 0;
-    const auto& order = sorted_cache_[partition];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < deltas.size() && j < order.size()) {
-      const Row& d = *deltas[i];
-      const Row& b = base_rows[order[j]];
-      if (KeyLess(d, shape_.delta_keys, b, shape_.copart_keys)) {
-        ++i;
-      } else if (KeyLess(b, shape_.copart_keys, d, shape_.delta_keys)) {
-        ++j;
-      } else {
-        size_t j_end = j;
-        while (j_end < order.size() &&
-               !KeyLess(b, shape_.copart_keys, base_rows[order[j_end]],
-                        shape_.copart_keys) &&
-               !KeyLess(base_rows[order[j_end]], shape_.copart_keys, b,
-                        shape_.copart_keys)) {
-          ++j_end;
-        }
-        size_t i_end = i;
-        while (i_end < deltas.size() &&
-               !KeyLess(d, shape_.delta_keys, *deltas[i_end],
-                        shape_.delta_keys) &&
-               !KeyLess(*deltas[i_end], shape_.delta_keys, d,
-                        shape_.delta_keys)) {
-          ++i_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          std::copy(deltas[a]->begin(), deltas[a]->end(),
-                    combined.begin() + ref_at);
-          for (size_t bb = j; bb < j_end; ++bb) {
-            const Row& br = base_rows[order[bb]];
-            std::copy(br.begin(), br.end(), combined.begin() + base_at);
-            if (!Passes(combined)) continue;
-            out.push_back(
-                expr::EvalProjection(shape_.project->exprs(), combined));
-          }
-        }
-        i = i_end;
-        j = j_end;
-      }
-    }
-    return out;
-  }
-
-  Result<std::vector<Row>> EvalGeneric(const Relation& delta, int partition,
-                                       const BaseBinding& base_binding) {
-    physical::ExecContext ctx;
-    ctx.use_codegen = options_.use_codegen;
-    ctx.batch_rows = batch_rows_;
-    ctx.join_algorithm = options_.join_algorithm;
-    for (const auto& [name, rel] : *tables_) {
-      const Relation* bound = base_binding(name, partition);
-      ctx.tables[name] = bound != nullptr ? bound : rel;
-    }
-    ctx.recursive_resolver =
-        [&](const RecursiveRefNode&) -> const Relation* { return &delta; };
-    RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*plan_, ctx));
-    return rel.TakeRows();
-  }
-
-  /// The simple shape's optional filter over one joined row.
-  bool Passes(const Row& combined) const {
-    return shape_.filter == nullptr ||
-           expr::IsTruthy(shape_.filter->predicate().Eval(combined));
-  }
-
-  static bool KeyLess(const Row& a, const std::vector<int>& ak, const Row& b,
-                      const std::vector<int>& bk) {
-    for (size_t i = 0; i < ak.size(); ++i) {
-      const int c = a[ak[i]].Compare(b[bk[i]]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  }
-
-  const LogicalPlan* plan_;
-  StepShape shape_;
-  const std::map<std::string, const Relation*>* tables_;
-  DistFixpointOptions options_;
-  size_t batch_rows_ = 0;
-  std::vector<std::unique_ptr<physical::JoinHashTable>> hash_cache_;
-  std::vector<std::unique_ptr<std::once_flag>> hash_once_;
-  std::vector<std::vector<size_t>> sorted_cache_;
-  /// Materialized base rows per partition, built alongside sorted_cache_.
-  std::vector<std::vector<Row>> base_rows_cache_;
-};
 
 bool IsSubset(const std::vector<int>& sub, const std::vector<int>& super) {
   for (int x : sub) {
@@ -402,11 +156,13 @@ constexpr verify::AccessMode kPartitionOwned =
 constexpr verify::AccessMode kSplitSlotOwned =
     verify::AccessMode::kSplitSlotOwned;
 
-/// The public DistOrchestration plus the per-branch shapes the evaluator
-/// needs to build its step evaluators.
+/// The public DistOrchestration plus the per-branch shapes and recursive
+/// steps the evaluator runs.
 struct Orchestration {
   DistOrchestration pub;
   std::vector<StepShape> shapes;
+  /// One per recursive plan, driven by its delta reference.
+  std::vector<RecursiveStep> steps;
   /// Tables shuffled into co-partitioned slices (set form of
   /// pub.copartitioned, for membership tests).
   std::set<std::string> copart_names;
@@ -511,13 +267,9 @@ Result<Orchestration> Analyze(const RecursiveClique& clique,
   for (const auto& [name, scan_count] : orch.scanned) {
     if (!orch.copart_names.count(name)) orch.pub.broadcast.push_back(name);
   }
-  for (const StepShape& shape : shapes) {
-    // Mirrors StepEvaluator::DeltaSplittable(): the fused hash path is the
-    // one that may evaluate delta sub-ranges independently.
-    if (shape.simple &&
-        options.join_algorithm == physical::JoinAlgorithm::kHash) {
-      orch.pub.delta_splittable = true;
-    }
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    orch.steps.emplace_back(*view.recursive_plans[i], shapes[i].ref, options);
+    orch.pub.delta_splittable |= orch.steps.back().pipelined();
   }
   return orch;
 }
@@ -625,13 +377,64 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     return it == tables.end() ? nullptr : it->second;
   };
 
-  // ---- Step evaluators (cached hash tables / sort orders). ----
-  std::vector<StepEvaluator> steps;
-  steps.reserve(view.recursive_plans.size());
-  for (size_t i = 0; i < view.recursive_plans.size(); ++i) {
-    steps.emplace_back(*view.recursive_plans[i], shapes[i], tables, options,
-                       P, cluster->runtime_options().batch_rows);
-  }
+  // ---- Recursive steps: each pipelined term binds once per partition,
+  // against that partition's base binding, and reuses its build-side hash
+  // tables in every iteration (the cached shuffle-hash join of App. D).
+  // Binding is lazy and call_once'd because same-partition morsel
+  // sub-tasks may race to it.
+  const std::vector<RecursiveStep>& steps = orch.steps;
+  const size_t batch_rows = cluster->runtime_options().batch_rows;
+  auto partition_context = [&](int p) {
+    physical::ExecContext ctx;
+    ctx.use_codegen = options.use_codegen;
+    ctx.batch_rows = batch_rows;
+    ctx.join_algorithm = options.join_algorithm;
+    for (const auto& [name, rel] : tables) {
+      const Relation* bound = base_binding(name, p);
+      ctx.tables[name] = bound != nullptr ? bound : rel;
+    }
+    return ctx;
+  };
+  struct PartitionSteps {
+    std::once_flag bind_once;
+    Status bind_status;
+    std::vector<std::optional<physical::BoundPipeline>> bound;
+  };
+  std::vector<PartitionSteps> step_caches(P);
+  auto bound_steps = [&](int p) -> const PartitionSteps& {
+    PartitionSteps& cache = step_caches[p];
+    std::call_once(cache.bind_once, [&] {
+      const physical::ExecContext ctx = partition_context(p);
+      cache.bound.resize(steps.size());
+      for (size_t i = 0; i < steps.size() && cache.bind_status.ok(); ++i) {
+        if (!steps[i].pipelined()) continue;
+        Result<physical::BoundPipeline> b = steps[i].Bind(ctx);
+        if (b.ok()) {
+          cache.bound[i] = std::move(*b);
+        } else {
+          cache.bind_status = b.status();
+        }
+      }
+    });
+    return cache;
+  };
+  // Evaluates step `i` over rows `range` of partition p's delta.
+  auto run_step = [&](size_t i, int p, const Relation& delta,
+                      storage::RowRange range,
+                      std::vector<Row>* out) -> Status {
+    const PartitionSteps& cache = bound_steps(p);
+    RASQL_RETURN_IF_ERROR(cache.bind_status);
+    const auto make_context = [&]() {
+      physical::ExecContext ctx = partition_context(p);
+      ctx.recursive_resolver =
+          [&delta](const RecursiveRefNode&) -> const Relation* {
+        return &delta;
+      };
+      return ctx;
+    };
+    return steps[i].Run(cache.bound[i] ? &*cache.bound[i] : nullptr, &delta,
+                        range, make_context, out);
+  };
 
   // ---- Base case: evaluate on the driver, then scatter by K. ----
   physical::ExecContext base_ctx;
@@ -682,9 +485,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
 
   // Every task closure below may execute concurrently (runtime threads):
   // shared mutable state is limited to partition-owned slots (delta[p],
-  // all.partition(p), writes[p], per-partition evaluator caches) plus the
+  // all.partition(p), writes[p], per-partition step caches) plus the
   // StageCounter/StageStatus accumulators above.
-  const bool det_reduce = cluster->runtime_options().deterministic_reduce;
 
   // Seed stages: input splits shuffle the base case to its partitions.
   // Submitted as a pair so the async pipeline can start merging a
@@ -737,10 +539,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       [&](int p, std::vector<Row>* out) -> Status {
     Relation delta_rel(view.schema, std::move(delta[p]));
     delta[p].clear();
-    for (StepEvaluator& step : steps) {
-      RASQL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                             step.Eval(delta_rel, p, base_binding));
-      for (Row& row : rows) out->push_back(std::move(row));
+    for (size_t i = 0; i < steps.size(); ++i) {
+      RASQL_RETURN_IF_ERROR(
+          run_step(i, p, delta_rel, {0, delta_rel.size()}, out));
     }
     return Status::OK();
   };
@@ -760,7 +561,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // partition's total time. This is also the embarrassingly parallel
     // case for the real runtime: partitions never exchange rows.
     StageStatus failure(P);
-    StageCounter delta_rows(P, det_reduce);
+    StageCounter delta_rows(P);
     std::vector<int> task_iterations(P, 0);
     std::vector<uint8_t> task_hit_limit(P, 0);
     StageSpec decomposed_stage;
@@ -770,7 +571,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     decomposed_stage.status = &failure;
     decomposed_stage.Claim(&all, kPartitionOwned, "all")
         .Claim(&delta, kPartitionOwned, "delta")
-        .Claim(&steps, kPartitionOwned, "step-caches")
+        .Claim(&step_caches, kPartitionOwned, "step-caches")
         .Claim(&coparted, kReadShared, "coparted-base");
     cluster->RunStage(decomposed_stage, [&](TaskContext& ctx) {
       const int p = ctx.partition();
@@ -821,7 +622,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       first_stage.status = &failure;
       first_stage.Claim(&all, kReadShared, "all")
           .Claim(&delta, kPartitionOwned, "delta")
-          .Claim(&steps, kPartitionOwned, "step-caches")
+          .Claim(&step_caches, kPartitionOwned, "step-caches")
           .Claim(&coparted, kReadShared, "coparted-base");
       cluster->RunStage(first_stage, [&](TaskContext& ctx) {
         const int p = ctx.partition();
@@ -853,7 +654,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       const int next = 1 - cur;
       channels[next].Reset();
       StageStatus failure(P);
-      StageCounter delta_rows(P, det_reduce);
+      StageCounter delta_rows(P);
       StageSpec iter_stage;
       iter_stage.name = "iter-" + std::to_string(stats->iterations);
       iter_stage.kind = StageSpec::Kind::kCombined;
@@ -863,7 +664,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       iter_stage.status = &failure;
       iter_stage.Claim(&all, kPartitionOwned, "all")
           .Claim(&delta, kPartitionOwned, "delta")
-          .Claim(&steps, kPartitionOwned, "step-caches")
+          .Claim(&step_caches, kPartitionOwned, "step-caches")
           .Claim(&coparted, kReadShared, "coparted-base");
       cluster->RunStage(iter_stage, [&](TaskContext& ctx) {
         const int p = ctx.partition();
@@ -900,17 +701,18 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // refill it (reduce p depends on all P map slices), so the pair is
     // safe to overlap. One channel is reused across iterations.
     //
-    // With `runtime.morsel_rows > 0` the map stage instead goes through
-    // the split RunStage overload (DESIGN.md §10): each partition's delta
-    // is frozen driver-side, cut into (step, morsel) sub-tasks that
-    // evaluate into partition×sub-task-owned slots, and the per-partition
-    // finalize task concatenates the slots in (step, morsel) order — the
-    // exact row order of the unsplit evaluation — before aggregating and
-    // routing. A giant partition thus becomes several independently
-    // stealable tasks inside one stage, and modeled metrics stay
-    // split-invariant.
+    // When some term runs as a pipeline and `runtime.morsel_rows > 0`,
+    // the map stage instead goes through the split RunStage overload
+    // (DESIGN.md §10): each partition's delta is frozen driver-side, cut
+    // into (step, morsel) sub-tasks that evaluate into partition×sub-task-
+    // owned slots, and the per-partition finalize task concatenates the
+    // slots in (step, morsel) order — the exact row order of the unsplit
+    // evaluation — before aggregating and routing. A giant partition thus
+    // becomes several independently stealable tasks inside one stage, and
+    // modeled metrics stay split-invariant.
     ShuffleChannel exchange(P);
     const size_t morsel_rows = cluster->runtime_options().morsel_rows;
+    const bool split = morsel_rows > 0 && orch.pub.delta_splittable;
     bool first_iteration = true;
     while (!deltas_empty()) {
       if (stats->iterations >= options.max_iterations) {
@@ -922,7 +724,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       first_iteration = false;
 
       StageStatus failure(P);
-      StageCounter delta_rows(P, det_reduce);
+      StageCounter delta_rows(P);
       StageSpec map_stage;
       map_stage.name = "map-" + std::to_string(stats->iterations);
       map_stage.kind = StageSpec::Kind::kShuffleMap;
@@ -947,9 +749,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         ctx.Count(delta[p].size());
       };
 
-      if (morsel_rows == 0) {
+      if (!split) {
         map_stage.Claim(&delta, kPartitionOwned, "delta")
-            .Claim(&steps, kPartitionOwned, "step-caches")
+            .Claim(&step_caches, kPartitionOwned, "step-caches")
             .Claim(&coparted, kReadShared, "coparted-base");
         cluster->RunStagePair(
             map_stage,
@@ -990,14 +792,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         for (int p = 0; p < P; ++p) {
           if (frozen[p].empty()) continue;
           for (size_t s = 0; s < steps.size(); ++s) {
-            if (steps[s].DeltaSplittable()) {
-              for (storage::RowRange r :
-                   storage::SplitIntoMorsels(frozen[p].size(), morsel_rows)) {
-                sub[p].push_back({s, r});
-              }
-            } else {
-              // Not range-decomposable: one whole-delta sub-task.
-              sub[p].push_back({s, {0, frozen[p].size()}});
+            for (storage::RowRange r :
+                 steps[s].Morsels(frozen[p].size(), morsel_rows)) {
+              sub[p].push_back({s, r});
             }
           }
           slots[p].resize(sub[p].size());
@@ -1008,13 +805,13 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         };
         // Sub-tasks evaluate frozen deltas into their own (partition,
         // sub-task) slots; the per-partition step caches are shared by a
-        // partition's sub-tasks but internally synchronized (once_flag
-        // builds), so they count as partition-owned.
+        // partition's sub-tasks but internally synchronized (call_once
+        // binds, then read-only), so they count as partition-owned.
         map_stage.Claim(&frozen, kReadShared, "frozen-delta")
             .Claim(&sub, kReadShared, "sub-plan")
             .Claim(&slots, kSplitSlotOwned, "morsel-slots")
             .Claim(&sub_status, kSplitSlotOwned, "morsel-status")
-            .Claim(&steps, kPartitionOwned, "step-caches")
+            .Claim(&step_caches, kPartitionOwned, "step-caches")
             .Claim(&coparted, kReadShared, "coparted-base");
         cluster->RunStage(
             map_stage,
@@ -1026,16 +823,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               const int p = ctx.partition();
               const int j = ctx.split_index();
               const SubTask& t = sub[p][j];
-              StepEvaluator& step = steps[t.step];
-              Result<std::vector<Row>> rows =
-                  step.DeltaSplittable()
-                      ? step.Eval(frozen[p], t.range, p, base_binding)
-                      : step.Eval(frozen[p], p, base_binding);
-              if (!rows.ok()) {
-                sub_status[p][j] = rows.status();
-              } else {
-                slots[p][j] = std::move(rows.value());
-              }
+              sub_status[p][j] =
+                  run_step(t.step, p, frozen[p], t.range, &slots[p][j]);
             },
             // Finalize: the only reporting task of the partition.
             [&](TaskContext& ctx) {

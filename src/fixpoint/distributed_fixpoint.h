@@ -54,7 +54,8 @@ struct DistOrchestration {
   std::vector<std::string> copartitioned;
   /// Base tables broadcast whole to every worker.
   std::vector<std::string> broadcast;
-  /// True when at least one recursive branch is morsel-decomposable, so
+  /// True when at least one recursive branch runs as a pipeline
+  /// (RecursiveStep::pipelined, hence morsel-decomposable), so
   /// `runtime.morsel_rows > 0` turns the plain map stage into a split DAG.
   bool delta_splittable = false;
 };

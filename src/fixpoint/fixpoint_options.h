@@ -54,8 +54,9 @@ struct CommonFixpointOptions {
   /// Safety valve for non-terminating recursions (the paper's
   /// stratified-SSSP on cyclic graphs, Fig. 1 footnote).
   int64_t max_iterations = 1'000'000;
-  /// Copied into physical::ExecContext::use_codegen (operator fusion);
-  /// answers are the same either way.
+  /// Copied into physical::ExecContext::use_codegen (operator fusion),
+  /// and decides whether recursive steps run as fused pipelines or tree
+  /// walks (fixpoint::RecursiveStep); answers are the same either way.
   bool use_codegen = true;
   physical::JoinAlgorithm join_algorithm = physical::JoinAlgorithm::kHash;
 
@@ -94,8 +95,8 @@ struct FixpointStats {
   /// base plans once plus every recursive plan per iteration; local
   /// semi-naive: base plans plus one execution per (non-empty delta
   /// partition × semi-naive term) per iteration; distributed: driver-side
-  /// base/seed executions (per-partition step evaluation goes through
-  /// cached StepEvaluators, not the executor).
+  /// base/seed executions only (per-partition recursive steps are not
+  /// counted, whether they run as cached pipelines or tree walks).
   size_t plan_executions = 0;
   bool hit_iteration_limit = false;
   bool used_semi_naive = false;

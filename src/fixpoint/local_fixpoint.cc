@@ -8,6 +8,7 @@
 #include "dist/aggregates.h"
 #include "dist/partition.h"
 #include "dist/set_rdd.h"
+#include "fixpoint/recursive_step.h"
 #include "fixpoint/stage_plan.h"
 #include "fixpoint/warm_state.h"
 #include "lint/diagnostic.h"
@@ -83,93 +84,65 @@ ExecContext BaseContext(const std::map<std::string, const Relation*>& tables,
   return ctx;
 }
 
-/// One plan evaluation, morsel-splittable when it compiles to a fused
-/// pipeline (DESIGN.md §10). `make_context` binds the unit's recursive
-/// references; it is invoked at bind time (pipeline) or run time
-/// (interpreted fallback), so the relations it resolves must outlive the
-/// phase. After RunMorselUnits, `slots[m]` holds morsel m's output rows;
-/// concatenating the slots in order reproduces the whole-plan evaluation.
+/// One term evaluation, morsel-splittable when its RecursiveStep runs as a
+/// pipeline (DESIGN.md §10). `pipeline` (borrowed, bound by the caller)
+/// runs over `driver`; a tree-walk step evaluates `make_context()` instead,
+/// so the relations it resolves must outlive the phase. After
+/// RunMorselUnits, `slots[m]` holds morsel m's output rows; concatenating
+/// the slots in order reproduces the whole-term evaluation.
 struct MorselUnit {
-  const LogicalPlan* plan = nullptr;
+  const RecursiveStep* step = nullptr;
+  const physical::BoundPipeline* pipeline = nullptr;
+  const Relation* driver = nullptr;
   std::function<ExecContext()> make_context;
-  std::optional<physical::BoundPipeline> pipeline;
   std::vector<storage::RowRange> morsels;
   std::vector<std::vector<Row>> slots;
 };
 
-/// Evaluates a batch of units on the pool in two flat phases (ParallelFor
-/// must not nest, so morsels are flattened into one task list rather than
-/// scheduled from inside a per-unit task):
-///   A. bind — compile + bind each unit's fused pipeline and split its
-///      driver into `options.runtime.morsel_rows`-sized RowRanges;
-///   B. run — every (unit, morsel) task evaluates independently into its
-///      own slot.
-/// Units that don't compile (pipeline breakers, probe steps under
-/// sort-merge) run as a single interpreted whole-plan task — their output
-/// is identical, just unsplit. The morsel decomposition depends only on
-/// driver sizes, so slots (and any ordered merge of them) are bit-identical
-/// for every thread count and morsel size.
-Status RunMorselUnits(std::vector<MorselUnit>* units,
-                      const FixpointOptions& options, ThreadPool* pool) {
-  const size_t morsel_rows = options.runtime.morsel_rows;
-  const int num_units = static_cast<int>(units->size());
-
-  // Phase A: bind. Pipelines are used regardless of use_codegen — the
-  // morsel split needs one, and a fused pipeline returns the interpreted
-  // tree walk's rows in the same order (executor_test pins this).
-  StageStatus bind_failure(std::max(num_units, 1));
-  pool->ParallelFor(num_units, [&](int u) {
-    MorselUnit& unit = (*units)[u];
-    std::optional<physical::PipelineProgram> program =
-        physical::PipelineProgram::Compile(*unit.plan);
-    if (program.has_value() &&
-        (!program->has_probe_steps() ||
-         options.join_algorithm == physical::JoinAlgorithm::kHash)) {
-      common::Result<physical::BoundPipeline> bound =
-          program->Bind(unit.make_context());
-      if (!bound.ok()) {
-        bind_failure.Fail(u, bound.status());
-        return;
-      }
-      unit.pipeline = std::move(*bound);
-      unit.morsels = storage::SplitIntoMorsels(unit.pipeline->driver_rows(),
-                                               morsel_rows);
-    } else {
-      unit.morsels = {storage::RowRange{}};  // one interpreted task
-    }
-  });
-  RASQL_RETURN_IF_ERROR(bind_failure.First());
-
-  // Phase B: flattened (unit, morsel) tasks.
-  size_t total = 0;
-  for (MorselUnit& unit : *units) {
-    unit.slots.resize(unit.morsels.size());
-    total += unit.morsels.size();
-  }
+/// Evaluates every (unit, morsel) as an independent pool task writing its
+/// own slot (ParallelFor must not nest, so morsels are flattened into one
+/// task list rather than scheduled from inside a per-unit task). The
+/// morsel decomposition depends only on driver sizes, so slots (and any
+/// ordered merge of them) are bit-identical for every thread count and
+/// morsel size.
+Status RunMorselUnits(std::vector<MorselUnit>* units, ThreadPool* pool) {
   std::vector<std::pair<int, int>> task_of;
-  task_of.reserve(total);
-  for (int u = 0; u < num_units; ++u) {
-    for (size_t m = 0; m < (*units)[u].morsels.size(); ++m) {
+  for (int u = 0; u < static_cast<int>(units->size()); ++u) {
+    MorselUnit& unit = (*units)[u];
+    unit.slots.resize(unit.morsels.size());
+    for (size_t m = 0; m < unit.morsels.size(); ++m) {
       task_of.emplace_back(u, static_cast<int>(m));
     }
   }
-  StageStatus failure(std::max<int>(static_cast<int>(total), 1));
-  pool->ParallelFor(static_cast<int>(total), [&](int i) {
+  const int total = static_cast<int>(task_of.size());
+  StageStatus failure(std::max(total, 1));
+  pool->ParallelFor(total, [&](int i) {
     if (failure.aborted()) return;
     const auto [u, m] = task_of[i];
     MorselUnit& unit = (*units)[u];
-    if (unit.pipeline.has_value()) {
-      Status s = unit.pipeline->Run(unit.morsels[m], &unit.slots[m]);
-      if (!s.ok()) failure.Fail(i, std::move(s));
+    Status s = unit.step->Run(unit.pipeline, unit.driver, unit.morsels[m],
+                              unit.make_context, &unit.slots[m]);
+    if (!s.ok()) failure.Fail(i, std::move(s));
+  });
+  return failure.First();
+}
+
+/// Binds the pipelined steps among `steps[i]` for every i with
+/// `wanted[i]`, in parallel on the pool, into `(*bound)[i]`.
+Status BindSteps(const std::vector<RecursiveStep>& steps,
+                 const std::vector<bool>& wanted, const ExecContext& ctx,
+                 std::vector<std::optional<physical::BoundPipeline>>* bound,
+                 ThreadPool* pool) {
+  const int n = static_cast<int>(steps.size());
+  StageStatus failure(std::max(n, 1));
+  pool->ParallelFor(n, [&](int i) {
+    if (!wanted[i] || !steps[i].pipelined()) return;
+    Result<physical::BoundPipeline> b = steps[i].Bind(ctx);
+    if (!b.ok()) {
+      failure.Fail(i, b.status());
       return;
     }
-    common::Result<Relation> rel =
-        physical::Execute(*unit.plan, unit.make_context());
-    if (!rel.ok()) {
-      failure.Fail(i, rel.status());
-      return;
-    }
-    unit.slots[m] = rel->TakeRows();
+    (*bound)[i] = std::move(*b);
   });
   return failure.First();
 }
@@ -236,31 +209,36 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     for (const auto& d : delta) stats->seed_delta_rows += d.size();
   }
 
-  // Does any recursive plan reference the view more than once? If so the
-  // non-delta occurrences must see the `all` state, which we materialize
-  // per iteration.
-  bool needs_all = false;
-  std::vector<int> refs_per_plan;
-  for (const plan::PlanPtr& p : view.recursive_plans) {
-    const int n = static_cast<int>(CollectRecursiveRefs(*p).size());
-    refs_per_plan.push_back(n);
-    if (n > 1) needs_all = true;
-  }
-
   // One semi-naive term per (plan, recursive-ref ordinal): that reference
-  // is bound to the delta, the others to the current `all`. Binding the
-  // delta ref to one partition's slice at a time is an exact split of the
-  // term — the term is linear in that reference.
-  struct Term {
-    const LogicalPlan* plan;
-    int ordinal;
-  };
-  std::vector<Term> terms;
-  for (size_t pi = 0; pi < view.recursive_plans.size(); ++pi) {
-    for (int t = 0; t < refs_per_plan[pi]; ++t) {
-      terms.push_back({view.recursive_plans[pi].get(), t});
+  // is the delta-bound driver, the others read the current `all` state,
+  // which we materialize per iteration when any plan has more than one.
+  // Binding the delta ref to one partition's slice at a time is an exact
+  // split of the term — the term is linear in that reference.
+  std::vector<RecursiveStep> steps;
+  std::vector<int> ordinals;
+  std::vector<bool> single_ref;
+  std::vector<bool> multi_ref;
+  for (const plan::PlanPtr& p : view.recursive_plans) {
+    const std::vector<const RecursiveRefNode*> refs = CollectRecursiveRefs(*p);
+    for (int t = 0; t < static_cast<int>(refs.size()); ++t) {
+      const RecursiveRefNode* driver = nullptr;
+      for (const RecursiveRefNode* ref : refs) {
+        if (ref->ordinal() == t) driver = ref;
+      }
+      steps.emplace_back(*p, driver, options);
+      ordinals.push_back(t);
+      single_ref.push_back(refs.size() == 1);
+      multi_ref.push_back(refs.size() > 1);
     }
   }
+  const bool needs_all =
+      std::find(multi_ref.begin(), multi_ref.end(), true) != multi_ref.end();
+  // Bound pipelines per term. A single-ref term's build sides read only
+  // base tables: it binds once per evaluation, before the first iteration,
+  // and every partition's tasks share it read-only (the cached hash join
+  // of App. D). A multi-ref term's build sides read `all`, so it rebinds
+  // every iteration.
+  std::vector<std::optional<physical::BoundPipeline>> bound(steps.size());
 
   auto deltas_empty = [&]() {
     for (const auto& d : delta) {
@@ -275,6 +253,10 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
       break;
     }
     ++stats->iterations;
+    if (stats->iterations == 1) {
+      RASQL_RETURN_IF_ERROR(
+          BindSteps(steps, single_ref, base_ctx, &bound, pool));
+    }
 
     // Freeze the iteration's inputs: the per-partition delta slices and
     // (for multi-ref plans) the materialized `all` state. Collect() walks
@@ -289,24 +271,34 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
       delta[p] = std::vector<Row>();
     }
     Relation all_rel;
-    if (needs_all) all_rel = state.Collect();
+    if (needs_all) {
+      all_rel = state.Collect();
+      ExecContext all_ctx = base_ctx;
+      all_ctx.recursive_resolver =
+          [&all_rel](const RecursiveRefNode&) -> const Relation* {
+        return &all_rel;
+      };
+      RASQL_RETURN_IF_ERROR(BindSteps(steps, multi_ref, all_ctx, &bound, pool));
+    }
 
     // Map phase: one morsel unit per (non-empty partition, semi-naive
-    // term), with read-only sharing of `all_rel` and the base tables.
-    // RunMorselUnits binds each unit's fused pipeline and evaluates its
-    // driver morsels as independent tasks, so a skewed partition's work
-    // spreads across threads instead of serializing the iteration.
+    // term), with read-only sharing of `all_rel`, the base tables and the
+    // bound pipelines. Each unit's driver morsels run as independent
+    // tasks, so a skewed partition's work spreads across threads instead
+    // of serializing the iteration.
     std::vector<ShuffleWrite> writes(P, ShuffleWrite(P));
     std::vector<MorselUnit> units;
     std::vector<size_t> unit_begin(P + 1, 0);
     for (int p = 0; p < P; ++p) {
       unit_begin[p] = units.size();
       if (delta_rel[p].empty()) continue;
-      for (const Term& term : terms) {
+      for (size_t t = 0; t < steps.size(); ++t) {
         MorselUnit unit;
-        unit.plan = term.plan;
+        unit.step = &steps[t];
+        unit.pipeline = bound[t] ? &*bound[t] : nullptr;
+        unit.driver = &delta_rel[p];
         unit.make_context = [&base_ctx, &delta_rel_p = delta_rel[p],
-                             &all_rel, ordinal = term.ordinal]() {
+                             &all_rel, ordinal = ordinals[t]]() {
           ExecContext ctx = base_ctx;
           ctx.recursive_resolver =
               [&delta_rel_p, &all_rel,
@@ -315,11 +307,13 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
           };
           return ctx;
         };
+        unit.morsels = steps[t].Morsels(delta_rel[p].size(),
+                                        options.runtime.morsel_rows);
         units.push_back(std::move(unit));
       }
     }
     unit_begin[P] = units.size();
-    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, options, pool));
+    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, pool));
     stats->plan_executions += units.size();
 
     // Merge phase: partition p routes its units' slots in (term, morsel)
@@ -398,18 +392,24 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
     }
   }
 
-  // One task per recursive branch, across all views in the clique.
-  struct Task {
-    size_t view_index;
-    const LogicalPlan* plan;
-  };
-  std::vector<Task> tasks;
+  // One step per recursive branch, across all views in the clique, each
+  // driven from its leftmost leaf.
+  std::vector<RecursiveStep> steps;
+  std::vector<size_t> view_of;
   for (size_t vi = 0; vi < clique.views.size(); ++vi) {
     for (const plan::PlanPtr& p : clique.views[vi].recursive_plans) {
-      tasks.push_back({vi, p.get()});
+      steps.emplace_back(*p, nullptr, options);
+      view_of.push_back(vi);
     }
   }
-  const int T = static_cast<int>(tasks.size());
+  const int T = static_cast<int>(steps.size());
+
+  ExecContext naive_ctx = base_ctx;
+  naive_ctx.recursive_resolver =
+      [&state](const RecursiveRefNode& ref) -> const Relation* {
+    auto it = state.find(ref.view_name());
+    return it == state.end() ? nullptr : &it->second;
+  };
 
   while (true) {
     if (stats->iterations >= options.max_iterations) {
@@ -418,25 +418,31 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
     }
     ++stats->iterations;
 
-    // All branches read the same frozen X_n; each unit writes only its
+    // All branches read the same frozen X_n, so every pipeline rebinds
+    // (its build sides may read the state); each unit writes only its
     // slots. Branches whose driver is large split into morsels, so one
     // heavy branch no longer pins the iteration to a single thread.
-    auto make_naive_context = [&base_ctx, &state]() {
-      ExecContext ctx = base_ctx;
-      ctx.recursive_resolver =
-          [&state](const RecursiveRefNode& ref) -> const Relation* {
-        auto it = state.find(ref.view_name());
-        return it == state.end() ? nullptr : &it->second;
-      };
-      return ctx;
-    };
-    std::vector<MorselUnit> units(tasks.size());
+    std::vector<std::optional<physical::BoundPipeline>> bound(T);
+    RASQL_RETURN_IF_ERROR(BindSteps(steps, std::vector<bool>(T, true),
+                                    naive_ctx, &bound, pool));
+    std::vector<physical::BorrowedRelation> drivers(T);
+    std::vector<MorselUnit> units(T);
     for (int t = 0; t < T; ++t) {
-      units[t].plan = tasks[t].plan;
-      units[t].make_context = make_naive_context;
+      MorselUnit& unit = units[t];
+      unit.step = &steps[t];
+      unit.make_context = [&naive_ctx]() { return naive_ctx; };
+      if (steps[t].pipelined()) {
+        RASQL_ASSIGN_OR_RETURN(
+            drivers[t], physical::ExecuteBorrowed(steps[t].driver(), naive_ctx));
+        unit.pipeline = &*bound[t];
+        unit.driver = drivers[t].rel;
+      }
+      unit.morsels = steps[t].Morsels(
+          unit.driver != nullptr ? unit.driver->size() : 0,
+          options.runtime.morsel_rows);
     }
-    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, options, pool));
-    stats->plan_executions += tasks.size();
+    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, pool));
+    stats->plan_executions += steps.size();
 
     // Per view: base rows + branch slots in declaration order (morsels in
     // order within a branch), then the canonical aggregated+sorted form —
@@ -444,8 +450,8 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
     std::vector<Relation> next(clique.views.size());
     pool->ParallelFor(static_cast<int>(clique.views.size()), [&](int vi) {
       std::vector<Row> candidates = base_rows[vi];
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        if (tasks[t].view_index != static_cast<size_t>(vi)) continue;
+      for (int t = 0; t < T; ++t) {
+        if (view_of[t] != static_cast<size_t>(vi)) continue;
         for (std::vector<Row>& slot : units[t].slots) {
           for (Row& row : slot) candidates.push_back(std::move(row));
         }

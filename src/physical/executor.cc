@@ -306,7 +306,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           acc = std::move(arg);
         } else if (acc.type() == ValueType::kInt64 &&
                    arg.type() == ValueType::kInt64) {
-          acc = Value::Int(acc.AsInt() + arg.AsInt());
+          acc = Value::Int(expr::WrapAdd(acc.AsInt(), arg.AsInt()));
         } else {
           acc = Value::Double(acc.AsNumeric() + arg.AsNumeric());
         }
@@ -489,7 +489,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           case Mode::kSumI64: {
             const int64_t raw = arg_i64(chunk, j, r);
             acc = acc.is_null() ? Value::Int(raw)
-                                : Value::Int(acc.AsInt() + raw);
+                                : Value::Int(expr::WrapAdd(acc.AsInt(), raw));
             break;
           }
           case Mode::kMinI64: {
@@ -742,9 +742,11 @@ Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx) {
     if (program.has_value() &&
         (!program->has_probe_steps() ||
          ctx.join_algorithm == JoinAlgorithm::kHash)) {
+      RASQL_ASSIGN_OR_RETURN(BorrowedRelation driver,
+                             Exec(program->driver(), ctx));
       RASQL_ASSIGN_OR_RETURN(BoundPipeline pipeline, program->Bind(ctx));
       std::vector<Row> rows;
-      RASQL_RETURN_IF_ERROR(pipeline.RunAll(&rows));
+      RASQL_RETURN_IF_ERROR(pipeline.RunAll(*driver.rel, &rows));
       return Own(Relation(node.schema(), rows));
     }
   }

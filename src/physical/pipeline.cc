@@ -17,10 +17,40 @@ using storage::Relation;
 using storage::Row;
 using storage::RowRange;
 
+namespace {
+
+bool Contains(const LogicalPlan& node, const LogicalPlan* target) {
+  if (&node == target) return true;
+  for (const plan::PlanPtr& child : node.children()) {
+    if (Contains(*child, target)) return true;
+  }
+  return false;
+}
+
+/// Calls `fn(chunk, local_begin, local_end)` for the part of every chunk of
+/// `rel` that lies in global rows [begin, end), in row order.
+template <typename Fn>
+void ForEachChunkSpan(const Relation& rel, size_t begin, size_t end, Fn&& fn) {
+  end = std::min(end, rel.size());
+  if (begin >= end) return;
+  size_t c;
+  size_t local;
+  rel.Locate(begin, &c, &local);
+  for (size_t i = begin; i < end; ++c, local = 0) {
+    const storage::ColumnChunk& chunk = rel.chunk(c);
+    const size_t local_end =
+        std::min(end - rel.chunk_begin(c), chunk.num_rows());
+    fn(chunk, local, local_end);
+    i += local_end - local;
+  }
+}
+
+}  // namespace
+
 std::optional<PipelineProgram> PipelineProgram::Compile(
-    const LogicalPlan& plan) {
+    const LogicalPlan& plan, const LogicalPlan* driver) {
   PipelineProgram program;
-  // Walk the left spine root-to-leaf, collecting steps in reverse.
+  // Walk the spine root-to-leaf, collecting steps in reverse.
   std::vector<Step> reversed;
   const LogicalPlan* node = &plan;
   while (true) {
@@ -47,9 +77,10 @@ std::optional<PipelineProgram> PipelineProgram::Compile(
         Step step;
         step.kind = Step::Kind::kHashProbe;
         step.join = &join;
+        step.spine_left = driver == nullptr || !Contains(join.child(1), driver);
         reversed.push_back(step);
         ++program.num_probe_steps_;
-        node = &node->child(0);
+        node = &node->child(step.spine_left ? 0 : 1);
         break;
       }
       case PlanKind::kTableScan:
@@ -57,6 +88,7 @@ std::optional<PipelineProgram> PipelineProgram::Compile(
       case PlanKind::kValues:
         // A bare leaf has nothing to fuse; let the tree walk resolve it.
         if (reversed.empty()) return std::nullopt;
+        if (driver != nullptr && node != driver) return std::nullopt;
         program.driver_ = node;
         std::reverse(reversed.begin(), reversed.end());
         program.steps_ = std::move(reversed);
@@ -72,18 +104,6 @@ Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
   RASQL_CHECK(driver_ != nullptr);
   BoundPipeline bound;
   bound.batch_rows_ = ctx.batch_rows;
-
-  // Resolve the driver. VALUES drivers own a materialized copy; scans and
-  // recursive refs borrow from the context.
-  if (driver_->kind() == PlanKind::kValues) {
-    const auto& values = static_cast<const plan::ValuesNode&>(*driver_);
-    bound.driver_.owned =
-        std::make_unique<Relation>(values.schema(), values.rows());
-    bound.driver_.rel = bound.driver_.owned.get();
-  } else {
-    RASQL_ASSIGN_OR_RETURN(bound.driver_, ExecuteBorrowed(*driver_, ctx));
-  }
-
   bound.steps_.reserve(steps_.size());
   for (const Step& step : steps_) {
     BoundPipeline::BoundStep bs;
@@ -101,18 +121,32 @@ Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
         bs.exprs = &step.project->exprs();
         break;
       case Step::Kind::kHashProbe: {
-        RASQL_ASSIGN_OR_RETURN(bs.build,
-                               ExecuteBorrowed(step.join->child(1), ctx));
-        bs.table.emplace(*bs.build.rel, step.join->right_keys());
-        bs.probe_keys = step.join->left_keys();
-        bs.left_width = step.join->child(0).schema().num_columns();
-        bs.right_width = step.join->child(1).schema().num_columns();
+        const plan::JoinNode& join = *step.join;
+        const size_t left_width = join.child(0).schema().num_columns();
+        RASQL_ASSIGN_OR_RETURN(
+            bs.build, ExecuteBorrowed(join.child(step.spine_left ? 1 : 0), ctx));
+        bs.table.emplace(*bs.build.rel, step.spine_left ? join.right_keys()
+                                                        : join.left_keys());
+        bs.probe_keys = step.spine_left ? join.left_keys() : join.right_keys();
+        bs.spine_at = step.spine_left ? 0 : left_width;
+        bs.build_at = step.spine_left ? left_width : 0;
+        bs.width = left_width + join.child(1).schema().num_columns();
         break;
       }
     }
     bound.steps_.push_back(std::move(bs));
   }
   return bound;
+}
+
+std::vector<BoundPipeline::ProbeScratch> BoundPipeline::MakeScratch() const {
+  std::vector<ProbeScratch> scratch(steps_.size());
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
+      scratch[s].combined.resize(steps_[s].width);
+    }
+  }
+  return scratch;
 }
 
 void BoundPipeline::PushRow(const Row& row, size_t step,
@@ -143,13 +177,13 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
       ps.matches.clear();
       bs.table->Probe(row, bs.probe_keys, &ps.matches);
       if (ps.matches.empty()) return;
-      // Fill the left half once per input row, the right half per match.
+      // Fill the spine part once per input row, the build part per match.
       // Deeper steps never retain a reference to the scratch row, so it is
       // safe to reuse it across matches.
-      std::copy(row.begin(), row.end(), ps.combined.begin());
+      std::copy(row.begin(), row.end(), ps.combined.begin() + bs.spine_at);
       for (int m : ps.matches) {
         bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ps.combined,
-                                bs.left_width);
+                                bs.build_at);
         PushRow(ps.combined, step + 1, scratch, sink);
       }
       return;
@@ -157,56 +191,62 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
   }
 }
 
-Status BoundPipeline::Run(RowRange range, std::vector<Row>* sink) const {
-  if (batch_rows_ > 0) return RunBatch(range, sink);
-  const size_t end = std::min(range.end, driver_.rel->size());
-
-  std::vector<ProbeScratch> scratch(steps_.size());
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
-      scratch[s].combined.resize(steps_[s].left_width +
-                                 steps_[s].right_width);
-    }
+void BoundPipeline::ProbeChunkRow(const storage::ColumnChunk& chunk, size_t r,
+                                  size_t step,
+                                  std::vector<ProbeScratch>* scratch,
+                                  std::vector<Row>* sink) const {
+  const BoundStep& bs = steps_[step];
+  ProbeScratch& ps = (*scratch)[step];
+  ps.matches.clear();
+  bs.table->ProbeChunk(chunk, r, bs.probe_keys, &ps.matches);
+  if (ps.matches.empty()) return;
+  chunk.CopyRowTo(r, &ps.combined, bs.spine_at);
+  for (int m : ps.matches) {
+    bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ps.combined,
+                            bs.build_at);
+    PushRow(ps.combined, step + 1, scratch, sink);
   }
-  driver_.rel->ForEachRow(
-      RowRange{range.begin, end},
-      [&](const Row& row) { PushRow(row, 0, &scratch, sink); });
+}
+
+Status BoundPipeline::Run(const Relation& driver, RowRange range,
+                          std::vector<Row>* sink) const {
+  if (batch_rows_ > 0) return RunBatch(driver, range, sink);
+  std::vector<ProbeScratch> scratch = MakeScratch();
+  if (!steps_.empty() &&
+      steps_[0].kind == PipelineProgram::Step::Kind::kHashProbe) {
+    // Column-wise leading probe: the key cells hash straight out of the
+    // driver's chunks; a driver row is copied only when it matches.
+    ForEachChunkSpan(driver, range.begin, range.end,
+                     [&](const storage::ColumnChunk& chunk, size_t begin,
+                         size_t end) {
+                       for (size_t r = begin; r < end; ++r) {
+                         ProbeChunkRow(chunk, r, 0, &scratch, sink);
+                       }
+                     });
+    return Status::OK();
+  }
+  driver.ForEachRow(range,
+                    [&](const Row& row) { PushRow(row, 0, &scratch, sink); });
   return Status::OK();
 }
 
-Status BoundPipeline::RunBatch(RowRange range, std::vector<Row>* sink) const {
-  const Relation& driver = *driver_.rel;
-  const size_t end = std::min(range.end, driver.size());
-  if (range.begin >= end) return Status::OK();
-
-  std::vector<ProbeScratch> scratch(steps_.size());
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
-      scratch[s].combined.resize(steps_[s].left_width +
-                                 steps_[s].right_width);
-    }
-  }
-
+Status BoundPipeline::RunBatch(const Relation& driver, RowRange range,
+                               std::vector<Row>* sink) const {
+  std::vector<ProbeScratch> scratch = MakeScratch();
   Row row_scratch;
   std::vector<uint32_t> sel;
   sel.reserve(batch_rows_);
   expr::VecProgram::Scratch vec_scratch;
 
-  size_t i = range.begin;
-  size_t c;
-  size_t local;
-  driver.Locate(i, &c, &local);
-  for (; i < end; ++c, local = 0) {
-    const storage::ColumnChunk& chunk = driver.chunk(c);
-    const size_t chunk_begin = driver.chunk_begin(c);
-    const size_t local_end = std::min(end - chunk_begin, chunk.num_rows());
+  ForEachChunkSpan(driver, range.begin, range.end, [&](
+                       const storage::ColumnChunk& chunk, size_t local,
+                       size_t local_end) {
     while (local < local_end) {
       const size_t batch_end = std::min(local_end, local + batch_rows_);
       sel.clear();
       for (size_t r = local; r < batch_end; ++r) {
         sel.push_back(static_cast<uint32_t>(r));
       }
-      i += batch_end - local;
       local = batch_end;
 
       // Leading filters run as compiled selection-vector kernels over the
@@ -227,21 +267,7 @@ Status BoundPipeline::RunBatch(RowRange range, std::vector<Row>* sink) const {
 
       if (s < steps_.size() &&
           steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
-        // Column-wise probe: hash the key cells straight out of the chunk;
-        // materialize the combined row only for surviving matches.
-        const BoundStep& bs = steps_[s];
-        ProbeScratch& ps = scratch[s];
-        for (const uint32_t r : sel) {
-          ps.matches.clear();
-          bs.table->ProbeChunk(chunk, r, bs.probe_keys, &ps.matches);
-          if (ps.matches.empty()) continue;
-          chunk.CopyRowTo(r, &ps.combined, 0);
-          for (int m : ps.matches) {
-            bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ps.combined,
-                                    bs.left_width);
-            PushRow(ps.combined, s + 1, &scratch, sink);
-          }
-        }
+        for (const uint32_t r : sel) ProbeChunkRow(chunk, r, s, &scratch, sink);
       } else if (s == steps_.size()) {
         for (const uint32_t r : sel) {
           chunk.MaterializeRow(r, &row_scratch);
@@ -254,7 +280,7 @@ Status BoundPipeline::RunBatch(RowRange range, std::vector<Row>* sink) const {
         }
       }
     }
-  }
+  });
   return Status::OK();
 }
 

@@ -15,31 +15,37 @@ namespace rasql::physical {
 
 class BoundPipeline;
 
-/// A fused operator pipeline compiled from the left spine of a logical
-/// plan: a driving leaf (table scan / recursive ref / VALUES) followed by
-/// filter, hash-join-probe and project steps that push each driver row
-/// through to a sink — the whole-stage-codegen analogue (paper Sec. 7.3),
-/// generalized from the executor's old ad-hoc Project(Filter(X)) /
-/// Project(Join(X, Y)) special cases. Join nodes contribute their *right*
-/// child as a materialized build side; the left child stays on the spine,
-/// so the driver is the leftmost leaf and the pipeline is linear in it.
+/// A fused operator pipeline compiled from one spine of a logical plan: a
+/// driving leaf (table scan / recursive ref / VALUES) followed by filter,
+/// hash-join-probe and project steps that push each driver row through to
+/// a sink — the whole-stage-codegen analogue (paper Sec. 7.3). At each join
+/// the spine follows the child holding the driver; the other child becomes
+/// a materialized build side. The default driver is the leftmost leaf, the
+/// executor's fusion; the fixpoint layer drives a recursive term from its
+/// delta reference wherever it sits (`FROM edge, tc`, SG's `rel a, sg`).
 ///
 /// Compilation is context-free (plan shape only) and cheap; do it once per
-/// plan and Bind() per evaluation context. The interpreted tree walk in
-/// executor.cc remains the oracle: for any plan the pipeline produces the
-/// same rows in the same order (probe-major driver order, build matches in
-/// JoinHashTable::Probe order — exactly the tree walk's hash-join order).
+/// plan, Bind() the build sides per evaluation context, and Run() any
+/// number of driver relations through the bound pipeline. The interpreted
+/// tree walk in executor.cc remains the oracle: for the default driver the
+/// pipeline produces the same rows in the same order (probe-major driver
+/// order, build matches in JoinHashTable::Probe order — the tree walk's
+/// hash-join order). A driver on the right of a join yields the same bag
+/// in driver-major order instead.
 class PipelineProgram {
  public:
-  /// Returns the compiled pipeline, or nullopt when the plan is not a
-  /// fusable chain (cross joins, aggregates/sorts/limits on the spine, or
-  /// a bare leaf with no steps to fuse).
-  static std::optional<PipelineProgram> Compile(const plan::LogicalPlan& plan);
+  /// Returns the compiled pipeline driven by `driver` (a leaf of `plan`;
+  /// null = the leftmost leaf), or nullopt when the spine is not a fusable
+  /// chain (cross joins, aggregates/sorts/limits on the spine, or a bare
+  /// leaf with no steps to fuse).
+  static std::optional<PipelineProgram> Compile(
+      const plan::LogicalPlan& plan,
+      const plan::LogicalPlan* driver = nullptr);
 
-  /// Resolves the driver and build sides against `ctx`, builds the join
-  /// hash tables and expression evaluators. The returned pipeline borrows
-  /// relations owned by `ctx` (and the plan), so both must outlive it; it
-  /// does not retain `ctx` itself.
+  /// Evaluates the build sides against `ctx` and builds their join hash
+  /// tables and batch filters. The returned pipeline borrows relations
+  /// owned by `ctx` (and the plan), so both must outlive it; it does not
+  /// retain `ctx` itself, and it never resolves the driver leaf.
   common::Result<BoundPipeline> Bind(const ExecContext& ctx) const;
 
   /// True when the pipeline contains at least one join probe. Probe steps
@@ -56,48 +62,52 @@ class PipelineProgram {
     Kind kind;
     const plan::FilterNode* filter = nullptr;
     const plan::ProjectNode* project = nullptr;
-    const plan::JoinNode* join = nullptr;  ///< probe; build = right child
+    const plan::JoinNode* join = nullptr;  ///< probe
+    /// kHashProbe: the spine is the join's left child (build = right).
+    bool spine_left = true;
   };
   const plan::LogicalPlan* driver_ = nullptr;
   std::vector<Step> steps_;  ///< driver-to-root order
   int num_probe_steps_ = 0;
 };
 
-/// A PipelineProgram bound to one evaluation context: driver and build
-/// relations resolved, hash tables built, batch filters compiled. Run() is
-/// const and carries its working state on the caller's stack, so one
-/// BoundPipeline may be shared by concurrent morsel tasks evaluating
-/// disjoint RowRanges of the same driver.
+/// A PipelineProgram with its build sides bound to one evaluation context:
+/// hash tables built, batch filters compiled. The driver is an argument of
+/// Run(), so one bound pipeline serves every iteration of a fixpoint whose
+/// build sides are loop-invariant (the cached hash join of paper App. D).
+/// Run() is const and carries its working state on the caller's stack, so
+/// one BoundPipeline may be shared by concurrent tasks running disjoint
+/// RowRanges of one driver, or different drivers.
 ///
 /// Two execution modes share the Run() entry point (DESIGN.md §13, §15).
-/// The interpreted mode materializes each driver row and pushes it through
-/// the steps. Batch mode (ExecContext::batch_rows > 0) walks the driver's
-/// column chunks directly: leading filters run arbitrary predicates —
-/// conjunctions, col-vs-col, arithmetic subexpressions, dictionary-aware
-/// string equality — as expr::VecProgram selection-vector kernels (a chunk
-/// the kernels cannot mirror exactly falls back to the row interpreter
-/// mid-pipeline), and a leading hash-probe extracts its key column-wise,
-/// materializing a row only when the build side matches. Both modes emit
-/// identical rows in identical order — the interpreter is the row-for-row
-/// oracle.
+/// The interpreted mode pushes driver rows through the steps; a leading
+/// hash probe hashes the key cells straight out of the driver's chunks and
+/// copies the driver row only on a match. Batch mode
+/// (ExecContext::batch_rows > 0) walks the driver's column chunks
+/// directly: leading filters run arbitrary predicates — conjunctions,
+/// col-vs-col, arithmetic subexpressions, dictionary-aware string
+/// equality — as expr::VecProgram selection-vector kernels (a chunk the
+/// kernels cannot mirror exactly falls back to the row interpreter
+/// mid-pipeline) before the column-wise probe. Both modes emit identical
+/// rows in identical order — the interpreter is the row-for-row oracle.
 class BoundPipeline {
  public:
   BoundPipeline() = default;
   BoundPipeline(BoundPipeline&&) = default;
   BoundPipeline& operator=(BoundPipeline&&) = default;
 
-  size_t driver_rows() const { return driver_.rel->size(); }
-
-  /// Pushes driver rows [range.begin, min(range.end, driver_rows())) through
-  /// every step, appending produced rows to `*sink`. Output order is the
-  /// driver order restricted to the range: concatenating the sinks of a
-  /// morsel split in morsel order equals one whole-driver Run.
-  common::Status Run(storage::RowRange range,
+  /// Pushes rows [range.begin, min(range.end, driver.size())) of `driver`
+  /// (which must have the driver leaf's schema) through every step,
+  /// appending produced rows to `*sink`. Output order is the driver order
+  /// restricted to the range: concatenating the sinks of a morsel split in
+  /// morsel order equals one whole-driver Run.
+  common::Status Run(const storage::Relation& driver, storage::RowRange range,
                      std::vector<storage::Row>* sink) const;
 
   /// Whole-driver evaluation.
-  common::Status RunAll(std::vector<storage::Row>* sink) const {
-    return Run(storage::RowRange{0, driver_rows()}, sink);
+  common::Status RunAll(const storage::Relation& driver,
+                        std::vector<storage::Row>* sink) const {
+    return Run(driver, storage::RowRange{0, driver.size()}, sink);
   }
 
  private:
@@ -114,9 +124,10 @@ class BoundPipeline {
     // context relation or heap-owned intermediate).
     BorrowedRelation build;
     std::optional<JoinHashTable> table;
-    std::vector<int> probe_keys;
-    size_t left_width = 0;
-    size_t right_width = 0;
+    std::vector<int> probe_keys;  ///< key columns of the spine row
+    size_t spine_at = 0;          ///< spine row offset in the joined row
+    size_t build_at = 0;          ///< build row offset in the joined row
+    size_t width = 0;             ///< joined row width
   };
   /// Per-Run scratch, allocated on the caller's stack (thread safety).
   struct ProbeScratch {
@@ -124,14 +135,21 @@ class BoundPipeline {
     std::vector<int> matches;
   };
 
+  std::vector<ProbeScratch> MakeScratch() const;
   void PushRow(const storage::Row& row, size_t step,
                std::vector<ProbeScratch>* scratch,
                std::vector<storage::Row>* sink) const;
+  /// Column-wise probe of hash-probe step `step` with spine row `r` of
+  /// `chunk`: the key cells hash straight out of the chunk, and the row is
+  /// copied into the joined row only when the build side matches.
+  void ProbeChunkRow(const storage::ColumnChunk& chunk, size_t r, size_t step,
+                     std::vector<ProbeScratch>* scratch,
+                     std::vector<storage::Row>* sink) const;
 
-  common::Status RunBatch(storage::RowRange range,
+  common::Status RunBatch(const storage::Relation& driver,
+                          storage::RowRange range,
                           std::vector<storage::Row>* sink) const;
 
-  BorrowedRelation driver_;
   std::vector<BoundStep> steps_;
   size_t batch_rows_ = 0;
 };

@@ -332,14 +332,14 @@ TEST(BatchPipelineTest, MorselRangesStraddlingChunksConcatenate) {
   auto bound = program->Bind(ctx);
   ASSERT_TRUE(bound.ok()) << bound.status();
   std::vector<Row> whole;
-  ASSERT_TRUE(bound->RunAll(&whole).ok());
+  ASSERT_TRUE(bound->RunAll(edges, &whole).ok());
   // Morsel cuts not aligned to chunk or batch boundaries.
   std::vector<Row> merged;
-  const size_t n = bound->driver_rows();
+  const size_t n = edges.size();
   for (size_t begin = 0; begin < n; begin += 333) {
     std::vector<Row> part;
     ASSERT_TRUE(
-        bound->Run(storage::RowRange{begin, begin + 333}, &part).ok());
+        bound->Run(edges, storage::RowRange{begin, begin + 333}, &part).ok());
     for (Row& row : part) merged.push_back(std::move(row));
   }
   ASSERT_EQ(merged.size(), whole.size());

@@ -647,6 +647,10 @@ TEST(CodegenSemanticsTest, EveryCellReturnsTheInterpretersAnswer) {
   Relation m{Schema::Of({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}})};
   m.Add({Value::Int(INT64_MIN), Value::Int(-1)});
   m.Add({Value::Int(INT64_MAX), Value::Int(1)});
+  // Integer sum() accumulates with the same wrapping rule.
+  Relation w{Schema::Of({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}})};
+  w.Add({Value::Int(1), Value::Int(INT64_MAX)});
+  w.Add({Value::Int(2), Value::Int(1)});
 
   struct Probe {
     const char* sql;
@@ -662,9 +666,17 @@ TEST(CodegenSemanticsTest, EveryCellReturnsTheInterpretersAnswer) {
        "_c0,_c1,_c2\n"
        "-9223372036854775808,9223372036854775807,-9223372036854775808\n"
        "9223372036854775807,-9223372036854775808,-9223372036854775807\n"},
+      {"SELECT sum(v) FROM w", "sum\n-9223372036854775808\n"},
+      // A recursive sum() head whose merges overflow: N(2) = 1 + N(1)
+      // wraps to INT64_MIN, N(3) = N(1) + N(2) = -1, N(4) = N(3).
+      {R"(WITH recursive s (K, sum() AS N) AS
+            (SELECT k, v FROM w) UNION
+            (SELECT edge.Dst, s.N FROM s, edge WHERE s.K = edge.Src)
+          SELECT K, N FROM s)",
+       "K,N\n1,9223372036854775807\n2,-9223372036854775808\n3,-1\n4,-1\n"},
       // The computed int projection and the filter run inside the
-      // recursive step (the distributed fused hash loop, the local
-      // BoundPipeline). Integer division truncates: 1->3 fails 7/9 > 0,
+      // recursive step (a BoundPipeline under codegen, the tree walk
+      // without). Integer division truncates: 1->3 fails 7/9 > 0,
       // and (7/2)*2+1 = 7, (7/4)*4+1 = 5, (5/2)*2+1 = 5.
       {R"(WITH recursive p (Dst, min() AS C) AS
             (SELECT 1, 7) UNION
@@ -686,6 +698,7 @@ TEST(CodegenSemanticsTest, EveryCellReturnsTheInterpretersAnswer) {
         ASSERT_TRUE(ctx.RegisterTable("t", t).ok());
         ASSERT_TRUE(ctx.RegisterTable("edge", edge).ok());
         ASSERT_TRUE(ctx.RegisterTable("m", m).ok());
+        ASSERT_TRUE(ctx.RegisterTable("w", w).ok());
         for (const Probe& probe : probes) {
           auto got = ctx.Execute(probe.sql);
           ASSERT_TRUE(got.ok()) << probe.sql << ": " << got.status();

@@ -301,14 +301,64 @@ TEST(PipelineTest, MorselRunsConcatenateToRunAll) {
   auto bound = program->Bind(ctx);
   ASSERT_TRUE(bound.ok()) << bound.status();
   std::vector<storage::Row> whole;
-  ASSERT_TRUE(bound->RunAll(&whole).ok());
+  ASSERT_TRUE(bound->RunAll(edges, &whole).ok());
   for (size_t morsel : {1u, 2u, 3u, 100u}) {
     std::vector<storage::Row> pieced;
     for (storage::RowRange r :
-         storage::SplitIntoMorsels(bound->driver_rows(), morsel)) {
-      ASSERT_TRUE(bound->Run(r, &pieced).ok());
+         storage::SplitIntoMorsels(edges.size(), morsel)) {
+      ASSERT_TRUE(bound->Run(edges, r, &pieced).ok());
     }
     EXPECT_EQ(pieced, whole) << "morsel_rows=" << morsel;
+  }
+}
+
+// Project(Join(edge, delta)) on edge.Dst = delta.Src, driven from the
+// right leaf — the recursive step of `FROM edge, tc WHERE edge.Dst =
+// tc.Src`.
+TEST(PipelineTest, RightSpineDrivesFromTheRightLeaf) {
+  Relation edges = MakeIntRelation(
+      {"Src", "Dst"},
+      {{1, 2}, {2, 3}, {4, 2}, {3, 1}, {5, 2}, {1, 3}, {6, 4}});
+  Relation delta = MakeIntRelation({"Src", "Dst"},
+                                   {{2, 9}, {7, 7}, {3, 8}, {2, 10}});
+  auto right = std::make_unique<TableScanNode>("delta", EdgeSchema());
+  const plan::LogicalPlan* driver = right.get();
+  auto join = std::make_unique<JoinNode>(ScanEdge(), std::move(right),
+                                         std::vector<int>{1},
+                                         std::vector<int>{0});
+  std::vector<expr::ExprPtr> exprs;
+  exprs.push_back(expr::MakeColumnRef(0, ValueType::kInt64));
+  exprs.push_back(expr::MakeColumnRef(3, ValueType::kInt64));
+  PlanPtr plan = std::make_unique<ProjectNode>(
+      std::move(join), std::move(exprs),
+      Schema::Of({{"Src", ValueType::kInt64}, {"Dst", ValueType::kInt64}}));
+
+  ExecContext ctx;
+  ctx.tables["edge"] = &edges;
+  ctx.tables["delta"] = &delta;
+  ctx.use_codegen = false;
+  auto walked = Execute(*plan, ctx);
+  ASSERT_TRUE(walked.ok()) << walked.status();
+
+  auto program = PipelineProgram::Compile(*plan, driver);
+  ASSERT_TRUE(program.has_value());
+  EXPECT_EQ(&program->driver(), driver);
+  for (const size_t batch_rows : {size_t{0}, size_t{2}}) {
+    ctx.batch_rows = batch_rows;
+    auto bound = program->Bind(ctx);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    std::vector<Row> rows;
+    ASSERT_TRUE(bound->RunAll(delta, &rows).ok());
+    // The tree walk's bag...
+    EXPECT_TRUE(storage::SameBag(*walked, Relation(walked->schema(), rows)));
+    // ...in driver-major order, each delta row's edge matches newest
+    // first (the fused loop's order).
+    const std::vector<Row> expected = {
+        {Value::Int(5), Value::Int(9)},  {Value::Int(4), Value::Int(9)},
+        {Value::Int(1), Value::Int(9)},  {Value::Int(1), Value::Int(8)},
+        {Value::Int(2), Value::Int(8)},  {Value::Int(5), Value::Int(10)},
+        {Value::Int(4), Value::Int(10)}, {Value::Int(1), Value::Int(10)}};
+    EXPECT_EQ(rows, expected) << "batch_rows=" << batch_rows;
   }
 }
 

@@ -31,6 +31,30 @@ constexpr const char* kSssp = R"(
        FROM path, edge WHERE path.Dst = edge.Src)
     SELECT Dst, Cost FROM path)";
 
+// Recursive-step shapes beyond "delta joins a base table on its left":
+// the delta ref as the right child of the join, the delta in the middle of
+// a two-join spine, and a filter over the joined row.
+constexpr const char* kTcRefRight = R"(
+    WITH recursive tc (Src, Dst) AS
+      (SELECT Src, Dst FROM edge) UNION
+      (SELECT edge.Src, tc.Dst FROM edge, tc WHERE edge.Dst = tc.Src)
+    SELECT Src, Dst FROM tc)";
+
+constexpr const char* kSg = R"(
+    WITH recursive sg (X, Y) AS
+      (SELECT a.Dst, b.Dst FROM edge a, edge b
+       WHERE a.Src = b.Src AND a.Dst <> b.Dst) UNION
+      (SELECT a.Dst, b.Dst FROM edge a, sg, edge b
+       WHERE a.Src = sg.X AND b.Src = sg.Y)
+    SELECT X, Y FROM sg)";
+
+constexpr const char* kTcFiltered = R"(
+    WITH recursive tc (Src, Dst) AS
+      (SELECT Src, Dst FROM edge) UNION
+      (SELECT tc.Src, edge.Dst FROM tc, edge
+       WHERE tc.Dst = edge.Src AND tc.Src <> edge.Dst)
+    SELECT Src, Dst FROM tc)";
+
 datagen::Graph TestGraph(bool weighted) {
   datagen::RmatOptions opt;
   opt.num_vertices = 128;
@@ -71,9 +95,9 @@ engine::ExecutionResult RunQuery(const engine::EngineConfig& config,
   return std::move(result.value());
 }
 
-void ExpectIdentical(const engine::ExecutionResult& ref,
-                     const engine::ExecutionResult& got,
-                     const std::string& label) {
+void ExpectSameRowsAndStats(const engine::ExecutionResult& ref,
+                            const engine::ExecutionResult& got,
+                            const std::string& label) {
   // Exact rows in exact order — morsel merge order reproduces the
   // unsplit row order, not merely the same bag.
   ASSERT_EQ(ref.relation.size(), got.relation.size()) << label;
@@ -96,6 +120,12 @@ void ExpectIdentical(const engine::ExecutionResult& ref,
   EXPECT_EQ(ref.fixpoint_stats.partition_key,
             got.fixpoint_stats.partition_key)
       << label;
+}
+
+void ExpectIdentical(const engine::ExecutionResult& ref,
+                     const engine::ExecutionResult& got,
+                     const std::string& label) {
+  ExpectSameRowsAndStats(ref, got, label);
 
   // Modeled-metric identity set: stage names, task counts and byte
   // counts. Measured seconds and the execution-observability fields
@@ -136,6 +166,49 @@ TEST_P(MorselMatrix, ResultsStatsAndMetricsAreInvariant) {
                               " morsel=" + std::to_string(morsel_rows) +
                               " batch=" + std::to_string(batch_rows) +
                               (weighted ? " sssp" : " tc"));
+        }
+      }
+    }
+  }
+}
+
+// Every recursive-step shape returns the reference's rows and stats under
+// every evaluator choice: the step runs as a cached BoundPipeline (codegen
+// on, hash) or through the tree walk (codegen off, or sort-merge joins),
+// row-at-a-time or batched, whole or morsel-split. Modeled metrics match
+// the reference of the same join algorithm (the driver-evaluated base case
+// emits its rows in the join's order, which places the seed splits).
+TEST_P(MorselMatrix, RecursiveStepShapesMatchAcrossEvaluators) {
+  const bool distributed = GetParam();
+  for (const char* sql : {kTcRefRight, kSg, kTcFiltered}) {
+    engine::ExecutionResult hash_ref =
+        RunQuery(MakeConfig(distributed, 1, 0), sql, /*weighted=*/false);
+    ASSERT_GT(hash_ref.relation.size(), 0u);
+    for (const auto join : {physical::JoinAlgorithm::kHash,
+                            physical::JoinAlgorithm::kSortMerge}) {
+      engine::EngineConfig ref_config = MakeConfig(distributed, 1, 0);
+      ref_config.fixpoint.join_algorithm = join;
+      const engine::ExecutionResult ref =
+          RunQuery(ref_config, sql, /*weighted=*/false);
+      ExpectSameRowsAndStats(hash_ref, ref, std::string("join ref\n") + sql);
+      for (const bool codegen : {true, false}) {
+        for (size_t morsel_rows : {size_t{0}, size_t{7}}) {
+          for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+            engine::EngineConfig config =
+                MakeConfig(distributed, 2, morsel_rows, batch_rows);
+            config.fixpoint.use_codegen = codegen;
+            config.fixpoint.join_algorithm = join;
+            engine::ExecutionResult got =
+                RunQuery(config, sql, /*weighted=*/false);
+            ExpectIdentical(
+                ref, got,
+                std::string(distributed ? "dist" : "local") +
+                    (codegen ? " codegen" : " interpreted") +
+                    (join == physical::JoinAlgorithm::kHash ? " hash"
+                                                            : " sort-merge") +
+                    " morsel=" + std::to_string(morsel_rows) +
+                    " batch=" + std::to_string(batch_rows) + "\n" + sql);
+          }
         }
       }
     }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <set>
 #include <string>
 #include <vector>
@@ -261,12 +262,16 @@ TEST(ClusterRuntimeTest, SimulatedMetricsIndependentOfThreadCount) {
 struct FixpointCase {
   int num_threads;
   bool partition_aware;
-  bool deterministic_reduce;
   bool async_shuffle = false;
   /// Combined stages collapse each map→reduce pair into one stage; turn
   /// combination off to exercise RunStagePair's pipelined path.
   bool combine_stages = true;
+  /// morsel_rows = 7: concurrent split sub-tasks share each partition's
+  /// cached recursive-step pipeline (plain map stages only).
+  bool split_morsels = false;
 };
+// Byte-dumped into the ctest names: no padding, so the names are stable.
+static_assert(std::has_unique_object_representations_v<FixpointCase>);
 
 class FixpointDeterminism : public ::testing::TestWithParam<FixpointCase> {
  protected:
@@ -277,9 +282,9 @@ class FixpointDeterminism : public ::testing::TestWithParam<FixpointCase> {
     config.cluster.num_partitions = 6;
     config.cluster.partition_aware_scheduling = GetParam().partition_aware;
     config.runtime.num_threads = GetParam().num_threads;
-    config.runtime.deterministic_reduce = GetParam().deterministic_reduce;
     config.runtime.async_shuffle = GetParam().async_shuffle;
     config.dist_fixpoint.combine_stages = GetParam().combine_stages;
+    config.runtime.morsel_rows = GetParam().split_morsels ? 7 : 0;
     return config;
   }
 
@@ -358,8 +363,8 @@ TEST_P(FixpointDeterminism, SsspMatchesSequentialReference) {
 TEST_P(FixpointDeterminism, StatsAndMetricsMatchSequentialReference) {
   engine::EngineConfig ref_config = Config();
   ref_config.runtime.num_threads = 1;
-  ref_config.runtime.deterministic_reduce = true;
   ref_config.runtime.async_shuffle = false;
+  ref_config.runtime.morsel_rows = 0;
   engine::RaSqlContext ref_ctx(ref_config);
   ASSERT_TRUE(ref_ctx.RegisterTable("edge", Edges(true)).ok());
   auto reference = ref_ctx.Execute(kSsspQuery);
@@ -396,28 +401,32 @@ TEST_P(FixpointDeterminism, StatsAndMetricsMatchSequentialReference) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndPolicies, FixpointDeterminism,
     ::testing::Values(
-        FixpointCase{1, true, true}, FixpointCase{2, true, true},
-        FixpointCase{8, true, true}, FixpointCase{8, true, false},
-        FixpointCase{2, false, true}, FixpointCase{8, false, false},
+        FixpointCase{1, true}, FixpointCase{2, true}, FixpointCase{8, true},
+        FixpointCase{2, false}, FixpointCase{8, false},
         // Async shuffle across thread counts, with stage combination off
         // so the plain map→reduce pairs exercise the pipelined path.
-        FixpointCase{1, true, true, /*async_shuffle=*/true,
+        FixpointCase{1, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{2, true, true, /*async_shuffle=*/true,
+        FixpointCase{2, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{8, true, true, /*async_shuffle=*/true,
+        FixpointCase{8, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{8, false, false, /*async_shuffle=*/true,
+        FixpointCase{8, false, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
         // Async with combination on: pairs collapse, the flag must be a
         // harmless no-op.
-        FixpointCase{8, true, true, /*async_shuffle=*/true}),
+        FixpointCase{8, true, /*async_shuffle=*/true},
+        // Morsel-split plain map stages at 8 threads.
+        FixpointCase{8, true, /*async_shuffle=*/false,
+                     /*combine_stages=*/false, /*split_morsels=*/true}),
     [](const auto& pinfo) {
+      // "_det": stage counters reduce per-task slots in partition order;
+      // the suffix keeps the case names stable.
       return "t" + std::to_string(pinfo.param.num_threads) +
-             (pinfo.param.partition_aware ? "_aware" : "_hybrid") +
-             (pinfo.param.deterministic_reduce ? "_det" : "_relaxed") +
+             (pinfo.param.partition_aware ? "_aware" : "_hybrid") + "_det" +
              (pinfo.param.async_shuffle ? "_async" : "") +
-             (pinfo.param.combine_stages ? "" : "_nocombine");
+             (pinfo.param.combine_stages ? "" : "_nocombine") +
+             (pinfo.param.split_morsels ? "_morsel" : "");
     });
 
 }  // namespace
