@@ -11,11 +11,7 @@
 // hardware_threads, without which the wall numbers can't be interpreted —
 // on a single-core container every thread count costs the same.
 //
-// A third sweep compares barriered vs. pipelined (--async-shuffle)
-// map/reduce pairs and checks the modeled metrics are bit-identical;
-// `--json` additionally writes it to BENCH_async_shuffle.json.
-//
-// A fourth sweep scales the *local* (non-distributed) fixpoint path on the
+// A third sweep scales the *local* (non-distributed) fixpoint path on the
 // same pool: TC and SSSP at 1/2/4/8 threads in both naive and semi-naive
 // modes. The partitioned local evaluator (DESIGN.md §9) must produce
 // identical results and iteration counts at every thread count; `--json`
@@ -167,88 +163,6 @@ void RunThreadScaling(std::vector<Workload>* workloads,
   }
 }
 
-// Barriered vs. pipelined shuffle: the same workloads with
-// --async-shuffle off and on, at 1/2/4/8 threads, with stage combination
-// and decomposed plans disabled so every iteration is a real map→reduce
-// pair the pipeline can overlap. The cost model charges placement and network after the barrier
-// in partition order, so the modeled job must be bit-identical either way;
-// the sweep asserts that (stages, shuffle bytes, remote bytes, result) and
-// reports the wall-clock delta, which is where the overlap shows up.
-void RunAsyncShuffleSweep(std::vector<Workload>* workloads, bool write_json) {
-  PrintHeader("Async shuffle: barriered vs. pipelined map/reduce pairs",
-              "pipelined shuffle, DESIGN.md §8");
-  PrintRow({"workload", "threads", "barriered", "pipelined", "speedup",
-            "identical"});
-
-  std::vector<std::string> records;
-  bool all_identical = true;
-  for (Workload& w : *workloads) {
-    std::map<std::string, storage::Relation> tables;
-    tables.emplace(w.table, w.data);
-    // Single run per cell (the non-decomposed configs are the slowest in
-    // the suite, and the claim under test is metric identity, not a
-    // precise wall number).
-    for (int threads : {1, 2, 8}) {
-      RunTiming timing[2];
-      for (int async = 0; async < 2; ++async) {
-        engine::EngineConfig config = RaSqlConfig();
-        // Stage combination and decomposed plans both *remove* the
-        // per-iteration map→reduce pair (one combined stage / a purely
-        // local loop); turn them off so every iteration is a real pair
-        // the pipeline can overlap.
-        config.dist_fixpoint.combine_stages = false;
-        config.dist_fixpoint.decomposed =
-            fixpoint::DistFixpointOptions::Decomposed::kOff;
-        config.runtime.num_threads = threads;
-        config.runtime.async_shuffle = async == 1;
-        timing[async] = RunEngine(config, tables, w.sql);
-      }
-      const bool identical =
-          timing[0].result == timing[1].result &&
-          timing[0].stages == timing[1].stages &&
-          timing[0].shuffle_bytes == timing[1].shuffle_bytes &&
-          timing[0].remote_bytes == timing[1].remote_bytes;
-      all_identical = all_identical && identical;
-      char speedup[16];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    timing[0].wall_time / timing[1].wall_time);
-      PrintRow({w.name, std::to_string(threads), Fmt(timing[0].wall_time),
-                Fmt(timing[1].wall_time), speedup,
-                identical ? "yes" : "NO"});
-
-      JsonEmitter rec;
-      rec.Text("workload", w.name);
-      rec.Integer("threads", threads);
-      rec.Number("barriered_wall_sec", timing[0].wall_time);
-      rec.Number("pipelined_wall_sec", timing[1].wall_time);
-      rec.Integer("stages", timing[1].stages);
-      rec.Integer("shuffle_bytes",
-                  static_cast<int64_t>(timing[1].shuffle_bytes));
-      rec.Integer("remote_bytes",
-                  static_cast<int64_t>(timing[1].remote_bytes));
-      rec.Text("metrics_identical", identical ? "yes" : "no");
-      records.push_back(rec.ToString());
-    }
-  }
-  std::printf("modeled metrics identical across async on/off: %s\n",
-              all_identical ? "yes" : "NO");
-
-  if (write_json) {
-    const std::string path = "BENCH_async_shuffle.json";
-    JsonEmitter doc;
-    doc.Text("bench", "bench_fig12_scaling");
-    doc.Text("section", "async_shuffle_barriered_vs_pipelined");
-    doc.Integer("hardware_threads", runtime::ThreadPool::HardwareThreads());
-    doc.Text("metrics_identical", all_identical ? "yes" : "no");
-    doc.Raw("runs", JsonEmitter::Array(records));
-    if (doc.WriteFile(path)) {
-      std::printf("wrote %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    }
-  }
-}
-
 // The local fixpoint path (no simulated cluster) on the work-stealing
 // pool: threads 1/2/4/8 × {naive, semi-naive}. Smaller graphs than the
 // distributed sweeps — the naive mode recomputes the full state every
@@ -377,7 +291,6 @@ int main(int argc, char** argv) {
   std::vector<rasql::bench::Workload> workloads = rasql::bench::Workloads();
   rasql::bench::RunWorkerScaling(&workloads);
   rasql::bench::RunThreadScaling(&workloads, json_path);
-  rasql::bench::RunAsyncShuffleSweep(&workloads, !json_path.empty());
   rasql::bench::RunLocalParallelSweep(!json_path.empty());
   return 0;
 }

@@ -52,15 +52,14 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 "${TSAN_BUILD_DIR}/tests/fixpoint_test"
 "${TSAN_BUILD_DIR}/tests/morsel_test"
 
-# Async-shuffle matrix under TSan: the pipelined map/reduce path releases
-# reduce tasks from the publish of individual map slices, so the
-# release/acquire pairing in SliceReadiness and the graph scheduler's
-# countdowns are exactly what TSan must see clean. The filtered re-run is
-# cheap and makes the gate explicit even if the suites above reorganize.
-"${TSAN_BUILD_DIR}/tests/runtime_test" \
-  --gtest_filter='*Graph*:*Async*:*async*'
+# Split-stage matrix under TSan: a split stage runs every partition's
+# sub-tasks, then every partition's finalize task, as two barriered waves;
+# the finalize reads the slots the sub-tasks wrote on other threads, and
+# reduce tasks read slices published by map tasks through the
+# release/acquire pairing in SliceReadiness. The filtered re-run is cheap
+# and makes the gate explicit even if the suites above reorganize.
 "${TSAN_BUILD_DIR}/tests/dist_test" \
-  --gtest_filter='*Pipelined*:*Slice*:*ShuffleChannel*'
+  --gtest_filter='*SplitStage*:*Slice*:*ShuffleChannel*'
 
 # Local-fixpoint thread matrix under TSan: the partitioned local path runs
 # per-partition semi-naive terms and per-branch naive candidates on the

@@ -64,8 +64,18 @@ if grep -rn 'StepEvaluator\|EvalFusedHash\|EvalSortMerge\|EvalGeneric\|determini
        "(one BoundPipeline, or the executor's tree walk) only" >&2
   exit 1
 fi
-echo "tidy.sh: columnar-API, expression-semantics and step-evaluator grep" \
-     "gates passed"
+# 6. A stage is one barriered ParallelFor (DESIGN.md §8). The async
+#    shuffle, its paired-stage submission and the task-DAG scheduler under
+#    it were deleted after showing no whole-query win; they may not return.
+if grep -rn 'RunStagePair\|ParallelForGraph\|MapGraph\|async_shuffle\|NotifyMoreWork' \
+    src tests bench examples --include='*.cc' --include='*.h' \
+    --include='*.cpp'; then
+  echo "tidy.sh: FAIL — stages are barriered; submit each stage with" \
+       "Cluster::RunStage" >&2
+  exit 1
+fi
+echo "tidy.sh: columnar-API, expression-semantics, step-evaluator and" \
+     "barriered-stage grep gates passed"
 
 TIDY_BIN=${TIDY_BIN:-clang-tidy}
 if ! command -v "${TIDY_BIN}" >/dev/null 2>&1; then

@@ -115,7 +115,7 @@ StageMetrics& Cluster::AccountStage(
   // Cost-model pass, after the barrier, in ascending partition order: the
   // simulated placement and network charges depend only on the per-task
   // reports, never on execution order, so the modeled stage is identical
-  // for every thread count — and for the async pipeline on or off.
+  // for every thread count.
   std::vector<double> worker_busy(config_.num_workers, 0.0);
   std::vector<int> producer_worker(config_.num_partitions, 0);
   std::vector<std::vector<size_t>> shuffle_bytes(config_.num_partitions);
@@ -183,53 +183,46 @@ int Cluster::VerifyChannelId(const ShuffleChannel* channel,
   return it->second;
 }
 
-void Cluster::VerifySubmission(
-    std::initializer_list<const StageSpec*> specs) {
-  const int group =
-      specs.size() > 1 ? verify_next_group_++ : -1;
-  for (const StageSpec* spec : specs) {
-    verify::StageNode& node = verify_graph_.AddStage(
-        spec->name, static_cast<verify::StageKind>(spec->kind));
-    node.group = group;
-    node.split = static_cast<bool>(spec->split_tasks);
-    if (spec->input_slices != nullptr) {
-      node.input_channel =
-          VerifyChannelId(spec->input_slices, spec->name + ".in");
-    }
-    if (spec->output_slices != nullptr) {
-      node.output_channel =
-          VerifyChannelId(spec->output_slices, spec->name + ".out");
-    }
-    if (spec->counter != nullptr) {
-      auto [it, inserted] = verify_counter_ids_.emplace(
-          spec->counter, static_cast<int>(verify_graph_.counters.size()));
-      if (inserted) verify_graph_.AddCounter(spec->name + ".counter");
-      node.counter = it->second;
-    }
-    if (spec->status != nullptr) {
-      auto [it, inserted] = verify_status_ids_.emplace(
-          spec->status, static_cast<int>(verify_graph_.statuses.size()));
-      if (inserted) verify_graph_.AddStatus(spec->name + ".status");
-      node.status = it->second;
-    }
-    for (const StageSpec::ResourceClaim& claim : spec->claims) {
-      auto [it, inserted] = verify_resource_ids_.emplace(
-          claim.resource, static_cast<int>(verify_graph_.resources.size()));
-      if (inserted) verify_graph_.AddResource(claim.name);
-      node.claims.push_back({it->second, claim.mode});
-    }
-    // The simulation cannot see driver-side ShuffleChannel::Reset() calls
-    // (or channels recycled across jobs); the real readiness flags can.
-    // Snapshot them so the lifecycle checks run against reality.
-    if (spec->input_slices != nullptr) {
-      verifier_->SetLivePublished(
-          node.input_channel, spec->input_slices->readiness().NumPublished());
-    }
-    if (spec->output_slices != nullptr) {
-      verifier_->SetLivePublished(
-          node.output_channel,
-          spec->output_slices->readiness().NumPublished());
-    }
+void Cluster::VerifySubmission(const StageSpec& spec) {
+  verify::StageNode& node = verify_graph_.AddStage(
+      spec.name, static_cast<verify::StageKind>(spec.kind));
+  node.split = static_cast<bool>(spec.split_tasks);
+  if (spec.input_slices != nullptr) {
+    node.input_channel =
+        VerifyChannelId(spec.input_slices, spec.name + ".in");
+  }
+  if (spec.output_slices != nullptr) {
+    node.output_channel =
+        VerifyChannelId(spec.output_slices, spec.name + ".out");
+  }
+  if (spec.counter != nullptr) {
+    auto [it, inserted] = verify_counter_ids_.emplace(
+        spec.counter, static_cast<int>(verify_graph_.counters.size()));
+    if (inserted) verify_graph_.AddCounter(spec.name + ".counter");
+    node.counter = it->second;
+  }
+  if (spec.status != nullptr) {
+    auto [it, inserted] = verify_status_ids_.emplace(
+        spec.status, static_cast<int>(verify_graph_.statuses.size()));
+    if (inserted) verify_graph_.AddStatus(spec.name + ".status");
+    node.status = it->second;
+  }
+  for (const StageSpec::ResourceClaim& claim : spec.claims) {
+    auto [it, inserted] = verify_resource_ids_.emplace(
+        claim.resource, static_cast<int>(verify_graph_.resources.size()));
+    if (inserted) verify_graph_.AddResource(claim.name);
+    node.claims.push_back({it->second, claim.mode});
+  }
+  // The simulation cannot see driver-side ShuffleChannel::Reset() calls
+  // (or channels recycled across jobs); the real readiness flags can.
+  // Snapshot them so the lifecycle checks run against reality.
+  if (spec.input_slices != nullptr) {
+    verifier_->SetLivePublished(
+        node.input_channel, spec.input_slices->readiness().NumPublished());
+  }
+  if (spec.output_slices != nullptr) {
+    verifier_->SetLivePublished(
+        node.output_channel, spec.output_slices->readiness().NumPublished());
   }
   const size_t before = verify_diagnostics_.diagnostics().size();
   verifier_->VerifyPending(&verify_diagnostics_);
@@ -242,20 +235,22 @@ void Cluster::VerifySubmission(
     }
   }
   // Malformed orchestration is a programmer error, caught before any task
-  // of the submission has run.
+  // of the stage has run.
   RASQL_CHECK(stage_graph_contracts_hold);
 }
 
 const StageMetrics& Cluster::RunStage(const StageSpec& spec,
                                       const StageTask& task) {
-  if (verify_enabled_) VerifySubmission({&spec});
-  return RunStageUnverified(spec, task);
-}
-
-const StageMetrics& Cluster::RunStageUnverified(const StageSpec& spec,
-                                                const StageTask& task) {
+  if (verify_enabled_) VerifySubmission(spec);
   std::vector<TaskIo> ios;
   std::vector<double> task_seconds;
+  RunPartitionTasks(spec, task, &ios, &task_seconds);
+  return AccountStage(spec.name, &ios, task_seconds);
+}
+
+void Cluster::RunPartitionTasks(const StageSpec& spec, const StageTask& task,
+                                std::vector<TaskIo>* ios,
+                                std::vector<double>* task_seconds) {
   const std::function<TaskIo(int)> run = [&](int p) {
     TaskContext ctx(&spec, p, config_.num_partitions);
     task(ctx);
@@ -264,8 +259,7 @@ const StageMetrics& Cluster::RunStageUnverified(const StageSpec& spec,
     if (spec.output_slices != nullptr) spec.output_slices->Publish(p);
     return std::move(ctx.io_);
   };
-  executor_.Map<TaskIo>(config_.num_partitions, run, &ios, &task_seconds);
-  return AccountStage(spec.name, &ios, task_seconds);
+  executor_.Map<TaskIo>(config_.num_partitions, run, ios, task_seconds);
 }
 
 const StageMetrics& Cluster::RunStage(const StageSpec& spec,
@@ -276,134 +270,47 @@ const StageMetrics& Cluster::RunStage(const StageSpec& spec,
   // range [split_begin[p], split_begin[p + 1]) of split tasks.
   std::vector<int> nsplits(P, 0);
   std::vector<int> split_begin(P + 1, 0);
-  int total_splits = 0;
+  std::vector<int> split_partition;
   int max_splits = 1;
   for (int p = 0; p < P; ++p) {
-    split_begin[p] = total_splits;
+    split_begin[p] = static_cast<int>(split_partition.size());
     if (spec.split_tasks) nsplits[p] = std::max(0, spec.split_tasks(p));
-    total_splits += nsplits[p];
+    split_partition.insert(split_partition.end(), nsplits[p], p);
     max_splits = std::max(max_splits, nsplits[p]);
   }
-  split_begin[P] = total_splits;
-  if (total_splits == 0) return RunStage(spec, main_task);
-  if (verify_enabled_) VerifySubmission({&spec});
+  const int S = static_cast<int>(split_partition.size());
+  split_begin[P] = S;
+  if (S == 0) return RunStage(spec, main_task);
+  if (verify_enabled_) VerifySubmission(spec);
 
-  // One DAG, topologically ordered: sub-tasks [0, S) then finalize tasks
-  // [S, S + P). Finalize task S + p depends on exactly its partition's
-  // sub-tasks, so it is released the moment the last of its own morsels
-  // lands — independent of sibling partitions' stragglers.
-  const int S = total_splits;
-  std::vector<int> deps(S + P, 0);
-  std::vector<std::vector<int>> dependents(S + P);
-  std::vector<int> split_partition(S, 0);
-  for (int p = 0; p < P; ++p) {
-    deps[S + p] = nsplits[p];
-    for (int i = split_begin[p]; i < split_begin[p + 1]; ++i) {
-      split_partition[i] = p;
-      dependents[i].push_back(S + p);
-    }
-  }
-
-  std::vector<TaskIo> ios;
-  std::vector<double> task_seconds;
-  const std::function<TaskIo(int)> run = [&](int i) {
-    if (i < S) {
-      const int p = split_partition[i];
-      TaskContext ctx(&spec, p, P, /*split_index=*/i - split_begin[p],
-                      /*num_splits=*/nsplits[p]);
-      split_task(ctx);
-      return std::move(ctx.io_);
-    }
-    TaskContext ctx(&spec, i - S, P);
-    main_task(ctx);
-    if (spec.output_slices != nullptr) spec.output_slices->Publish(i - S);
+  // Wave 1: every partition's sub-tasks, stolen freely across partitions.
+  // Their reports stay empty (sub-tasks may not report); only their
+  // measured seconds are kept.
+  std::vector<TaskIo> split_ios;
+  std::vector<double> split_seconds;
+  const std::function<TaskIo(int)> run_split = [&](int i) {
+    const int p = split_partition[i];
+    TaskContext ctx(&spec, p, P, /*split_index=*/i - split_begin[p],
+                    /*num_splits=*/nsplits[p]);
+    split_task(ctx);
     return std::move(ctx.io_);
   };
-  executor_.MapGraph<TaskIo>(S + P, run, deps, dependents, &ios,
-                             &task_seconds);
+  executor_.Map<TaskIo>(S, run_split, &split_ios, &split_seconds);
 
-  // One partition-ordered report per partition: the finalize task's I/O
-  // (sub-tasks are barred from reporting) with the partition's sub-task
-  // seconds folded into its measured time. The cost model therefore sees
-  // exactly what an unsplit stage would report, modulo measured seconds —
+  // Wave 2: one finalize task per partition, the only reporting task. The
+  // cost model therefore sees exactly what an unsplit stage would report,
+  // with the partition's sub-task seconds folded into its measured time —
   // modeled byte counts and task counts are split-invariant.
-  std::vector<TaskIo> main_ios(std::make_move_iterator(ios.begin() + S),
-                               std::make_move_iterator(ios.end()));
-  std::vector<double> merged_seconds(task_seconds.begin() + S,
-                                     task_seconds.end());
+  std::vector<TaskIo> ios;
+  std::vector<double> task_seconds;
+  RunPartitionTasks(spec, main_task, &ios, &task_seconds);
   for (int i = 0; i < S; ++i) {
-    merged_seconds[split_partition[i]] += task_seconds[i];
+    task_seconds[split_partition[i]] += split_seconds[i];
   }
-  StageMetrics& stage = AccountStage(spec.name, &main_ios, merged_seconds);
+  StageMetrics& stage = AccountStage(spec.name, &ios, task_seconds);
   stage.num_exec_tasks = S + P;
   stage.max_partition_splits = max_splits;
   return stage;
-}
-
-void Cluster::RunStagePair(const StageSpec& map_spec,
-                           const StageTask& map_task,
-                           const StageSpec& reduce_spec,
-                           const StageTask& reduce_task) {
-  // Verified as one concurrency group either way: the contract of a pair
-  // (reduce consumes what map publishes, accumulators distinct, shared
-  // resources ordered by the slice dependency) is the same whether the
-  // runtime interleaves the 2P tasks or barriers between the stages.
-  if (verify_enabled_) VerifySubmission({&map_spec, &reduce_spec});
-
-  const bool pipelined = executor_.options().async_shuffle &&
-                         executor_.num_threads() > 1 &&
-                         map_spec.output_slices != nullptr &&
-                         reduce_spec.input_slices == map_spec.output_slices;
-  if (!pipelined) {
-    RunStageUnverified(map_spec, map_task);
-    RunStageUnverified(reduce_spec, reduce_task);
-    return;
-  }
-
-  // One DAG of 2P tasks, topologically ordered: producers [0, P), then
-  // consumers [P, 2P). Consumer P+c needs one slice from every producer,
-  // so it depends on all P of them and is released the moment the last
-  // slice it needs is published — while sibling consumers may still be
-  // waiting on stragglers.
-  const int P = config_.num_partitions;
-  std::vector<int> deps(2 * P, 0);
-  std::vector<std::vector<int>> dependents(2 * P);
-  for (int c = 0; c < P; ++c) deps[P + c] = P;
-  for (int p = 0; p < P; ++p) {
-    dependents[p].reserve(P);
-    for (int c = 0; c < P; ++c) dependents[p].push_back(P + c);
-  }
-
-  std::vector<TaskIo> ios;
-  std::vector<double> task_seconds;
-  const std::function<TaskIo(int)> run = [&](int i) {
-    if (i < P) {
-      TaskContext ctx(&map_spec, i, P);
-      map_task(ctx);
-      map_spec.output_slices->Publish(i);
-      return std::move(ctx.io_);
-    }
-    TaskContext ctx(&reduce_spec, i - P, P);
-    reduce_task(ctx);
-    return std::move(ctx.io_);
-  };
-  executor_.MapGraph<TaskIo>(2 * P, run, deps, dependents, &ios,
-                             &task_seconds);
-
-  // Account the map stage, then the reduce stage, each from its
-  // partition-ordered reports — the exact sequence the barriered path
-  // produces, so the modeled job is bit-identical.
-  std::vector<TaskIo> map_ios(std::make_move_iterator(ios.begin()),
-                              std::make_move_iterator(ios.begin() + P));
-  std::vector<double> map_seconds(task_seconds.begin(),
-                                  task_seconds.begin() + P);
-  AccountStage(map_spec.name, &map_ios, map_seconds);
-
-  std::vector<TaskIo> reduce_ios(std::make_move_iterator(ios.begin() + P),
-                                 std::make_move_iterator(ios.end()));
-  std::vector<double> reduce_seconds(task_seconds.begin() + P,
-                                     task_seconds.end());
-  AccountStage(reduce_spec.name, &reduce_ios, reduce_seconds);
 }
 
 void Cluster::Broadcast(size_t bytes) {

@@ -102,9 +102,9 @@ struct JobMetrics {
 /// the shuffle, which slice channels its tasks read/write, and which
 /// cross-partition accumulators they may update. Shuffle dependencies are
 /// carried here — not hidden inside task closures — which is what lets the
-/// runtime schedule consumer tasks against producer slices (async shuffle)
-/// and lets the cost model derive `consumes_shuffle` from the declared
-/// kind instead of trusting each closure.
+/// verifier check the slice lifecycle before submission (DESIGN.md §11)
+/// and the cost model derive `consumes_shuffle` from the declared kind
+/// instead of trusting each closure.
 struct StageSpec {
   /// How the stage relates to the shuffle exchange around it.
   enum class Kind {
@@ -120,8 +120,8 @@ struct StageSpec {
   /// routed rows (it may still *model* consumption via its kind).
   ShuffleChannel* input_slices = nullptr;
   /// Channel this stage's tasks deposit into; the runtime publishes a
-  /// task's slices the moment that task completes. Null when the stage
-  /// routes no rows (modeled-only shuffles report bytes instead).
+  /// task's slices when that task completes. Null when the stage routes no
+  /// rows (modeled-only shuffles report bytes instead).
   ShuffleChannel* output_slices = nullptr;
   /// Optional accumulators TaskContext::Count / Fail write through.
   runtime::StageCounter* counter = nullptr;
@@ -183,8 +183,8 @@ class TaskContext {
   bool is_split_task() const { return split_index_ >= 0; }
 
   /// Gathers the rows addressed to this partition from the stage's input
-  /// channel (all published slices; under the pipeline's dependencies that
-  /// is every slice).
+  /// channel. The producing stage finished before this one was submitted,
+  /// so every slice is published.
   std::vector<storage::Row> ReadShuffle();
 
   /// Deposits this task's map output into the stage's output channel and
@@ -241,11 +241,10 @@ using StageTask = std::function<void(TaskContext&)>;
 ///
 /// Underneath the simulation sits a real work-stealing runtime: with
 /// `runtime.num_threads > 1` the task closures of a stage execute
-/// concurrently (DESIGN.md §7), and with `runtime.async_shuffle` a
-/// RunStagePair pipelines the reduce tasks into the map stage (§8). The
-/// simulated placement/network accounting is always derived from
-/// partition-ordered results after the barrier, so it is deterministic,
-/// thread-count-independent, and identical with the pipeline on or off.
+/// concurrently (DESIGN.md §7). Every stage is barriered: it returns after
+/// all of its tasks ran. The simulated placement/network accounting is
+/// derived from partition-ordered results after that barrier, so it is
+/// deterministic and thread-count-independent.
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config,
@@ -278,10 +277,10 @@ class Cluster {
 
   /// Split form of RunStage (DESIGN.md §10): when `spec.split_tasks` asks
   /// for sub-tasks, partition p's work runs as split_tasks(p) `split_task`
-  /// closures (split_index() in [0, num_splits())) followed by one
-  /// `main_task` finalize closure per partition that depends on all of its
-  /// partition's sub-tasks — one dependency DAG, so a giant partition's
-  /// morsels run as independently stealable tasks inside one modeled stage.
+  /// closures (split_index() in [0, num_splits())), and after all sub-tasks
+  /// of every partition finished, one `main_task` finalize closure per
+  /// partition runs — two barriered waves inside one modeled stage, so a
+  /// giant partition's morsels run as independently stealable tasks.
   /// Split closures are pure compute into caller-owned slots; only the
   /// finalize closure may use the TaskContext reporting calls. The cost
   /// model still sees one partition-ordered report per partition with that
@@ -292,20 +291,6 @@ class Cluster {
   const StageMetrics& RunStage(const StageSpec& spec,
                                const StageTask& split_task,
                                const StageTask& main_task);
-
-  /// Submits a map stage and the reduce stage that consumes its output as
-  /// one unit. Barriered by default (exactly two RunStage calls). With
-  /// `runtime.async_shuffle` and >1 thread, the 2P tasks are enqueued as
-  /// one dependency DAG instead: each reduce task waits on the publication
-  /// of its input slices (one per producer) and is released the moment the
-  /// last one lands, overlapping reduce compute with remaining map tasks.
-  /// The cost model still accounts the map stage then the reduce stage
-  /// post-barrier in partition order, so metrics are bit-identical to the
-  /// barriered path. Requires reduce_spec.input_slices ==
-  /// map_spec.output_slices (non-null) to pipeline.
-  void RunStagePair(const StageSpec& map_spec, const StageTask& map_task,
-                    const StageSpec& reduce_spec,
-                    const StageTask& reduce_task);
 
   /// Charges a broadcast of `bytes` from the driver to every worker.
   void Broadcast(size_t bytes);
@@ -338,17 +323,18 @@ class Cluster {
   }
 
  private:
-  /// RunStage minus the submission-time verification; the verified entry
-  /// points (RunStage, RunStagePair) land here.
-  const StageMetrics& RunStageUnverified(const StageSpec& spec,
-                                         const StageTask& task);
+  /// Runs `task` once per partition (concurrently on the pool), publishing
+  /// each task's output slices after its body, and fills the
+  /// partition-ordered I/O reports and measured seconds.
+  void RunPartitionTasks(const StageSpec& spec, const StageTask& task,
+                         std::vector<TaskIo>* ios,
+                         std::vector<double>* task_seconds);
 
-  /// Maps a submission (one spec, or the two specs of a pair) into the
-  /// abstract verify graph, snapshots the live published counts of every
-  /// referenced channel, and runs the pending checks. Prints the
-  /// diagnostics and aborts when a contract is violated — before any task
-  /// of the submission runs.
-  void VerifySubmission(std::initializer_list<const StageSpec*> specs);
+  /// Maps a submitted spec into the abstract verify graph, snapshots the
+  /// live published counts of the channels it references, and runs the
+  /// pending checks. Prints the diagnostics and aborts when a contract is
+  /// violated — before any task of the stage runs.
+  void VerifySubmission(const StageSpec& spec);
   /// Registry interning for the pointer-free verify graph.
   int VerifyChannelId(const ShuffleChannel* channel, const std::string& hint);
 
@@ -385,7 +371,6 @@ class Cluster {
   std::map<const void*, int> verify_resource_ids_;
   std::map<const void*, int> verify_counter_ids_;
   std::map<const void*, int> verify_status_ids_;
-  int verify_next_group_ = 0;
 };
 
 }  // namespace rasql::dist

@@ -11,21 +11,19 @@ namespace rasql::dist {
 
 /// Lifecycle tracker for the slices of one map→reduce shuffle exchange.
 /// Producer partition p's ShuffleWrite holds one slice per consumer; the
-/// whole write is *published* atomically when p's map task completes, and
-/// a consumer marks itself *consumed* once it has gathered its slices.
+/// whole write is *published* atomically when p's map task completes.
 /// Publication is a release store and observation an acquire load, so a
-/// consumer that sees a slice as published also sees its rows — the
-/// happens-before edge the async-shuffle pipeline rides on (DESIGN.md §8).
+/// consumer that sees a slice as published also sees its rows. The live
+/// stage verifier reads the published count at submission (DESIGN.md §11).
 class SliceReadiness {
  public:
   SliceReadiness() = default;
   explicit SliceReadiness(int num_partitions) { Reset(num_partitions); }
 
-  /// Re-arms the tracker for `num_partitions` producers/consumers, all
-  /// unpublished and unconsumed. Not thread-safe; call between stages.
+  /// Re-arms the tracker for `num_partitions` producers, all unpublished.
+  /// Not thread-safe; call between stages.
   void Reset(int num_partitions) {
     published_ = std::vector<std::atomic<uint8_t>>(num_partitions);
-    consumed_ = std::vector<std::atomic<uint8_t>>(num_partitions);
   }
 
   int num_partitions() const { return static_cast<int>(published_.size()); }
@@ -43,28 +41,17 @@ class SliceReadiness {
     }
     return n;
   }
-  bool AllPublished() const {
-    return NumPublished() == num_partitions();
-  }
-
-  void MarkConsumed(int consumer) {
-    consumed_[consumer].store(1, std::memory_order_release);
-  }
-  bool Consumed(int consumer) const {
-    return consumed_[consumer].load(std::memory_order_acquire) != 0;
-  }
 
  private:
   std::vector<std::atomic<uint8_t>> published_;
-  std::vector<std::atomic<uint8_t>> consumed_;
 };
 
 /// One shuffle exchange: the per-producer ShuffleWrite slots plus their
 /// readiness lifecycle. Producer tasks deposit with Put(); the stage
 /// runtime publishes a producer's slices when its task completes; consumer
 /// tasks Gather() the slices addressed to them. A StageSpec names the
-/// channel a stage reads and/or writes, which is what lets the runtime
-/// schedule consumers against producers instead of against a stage barrier.
+/// channel a stage reads and/or writes, which is what lets the verifier
+/// check that a consumer stage is submitted only after its producer.
 class ShuffleChannel {
  public:
   explicit ShuffleChannel(int num_partitions)
@@ -91,11 +78,10 @@ class ShuffleChannel {
   const ShuffleWrite& write(int producer) const { return writes_[producer]; }
 
   /// Collects the rows addressed to `consumer` from every *published*
-  /// producer, in ascending producer order, and marks the consumer done.
-  /// Under the all-slices dependency the pipeline declares, every producer
-  /// is published by the time a consumer runs, so this gathers the full
-  /// exchange — the partial-visibility behaviour exists so tests can pin
-  /// down that unpublished slices are never observed.
+  /// producer, in ascending producer order. Stages are barriered, so every
+  /// producer is published by the time a consumer runs and this gathers
+  /// the full exchange; skipping unpublished slices keeps a deposit whose
+  /// task has not completed invisible.
   std::vector<storage::Row> Gather(int consumer) {
     std::vector<storage::Row> rows;
     for (int src = 0; src < num_partitions_; ++src) {
@@ -103,7 +89,6 @@ class ShuffleChannel {
       writes_[src].slice_per_dest[consumer].ForEachRow(
           [&rows](const storage::Row& row) { rows.push_back(row); });
     }
-    readiness_.MarkConsumed(consumer);
     return rows;
   }
 

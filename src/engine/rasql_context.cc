@@ -263,6 +263,13 @@ Result<Relation> RaSqlContext::ExecuteQuery(const sql::Query& query,
 
   // Evaluate cliques in topological order, materializing views.
   std::map<std::string, Relation> views;
+  if (config_.distributed && (config_.cluster.num_workers < 1 ||
+                              config_.cluster.num_partitions < 1)) {
+    return Status::InvalidArgument(
+        "distributed mode needs at least one worker and one partition (got " +
+        std::to_string(config_.cluster.num_workers) + " workers, " +
+        std::to_string(config_.cluster.num_partitions) + " partitions)");
+  }
   dist::Cluster cluster(config_.cluster, config_.runtime);
   int clique_index = -1;
   for (const analysis::RecursiveClique& clique : analyzed.cliques) {

@@ -489,12 +489,18 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // StageCounter/StageStatus accumulators above.
 
   // Seed stages: input splits shuffle the base case to its partitions.
-  // Submitted as a pair so the async pipeline can start merging a
-  // partition's slice while other seed tasks still run.
+  // Each row is dealt to a split by a hash of the whole row, so which split
+  // holds it — and so the modeled merge-base-case bytes — depends only on
+  // the base-case bag, not on the order the base plan emitted it in.
   {
+    dist::Partitioning deal;
+    deal.num_partitions = P;
+    for (int c = 0; c < view.schema.num_columns(); ++c) {
+      deal.key_columns.push_back(c);
+    }
     std::vector<std::vector<Row>> splits(P);
-    for (size_t i = 0; i < base_rows.size(); ++i) {
-      splits[i % P].push_back(std::move(base_rows[i]));
+    for (Row& row : base_rows) {
+      splits[deal.PartitionOf(row)].push_back(std::move(row));
     }
     ShuffleChannel seed_channel(P);
     StageSpec seed_stage;
@@ -508,20 +514,18 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     merge_stage.input_slices = &seed_channel;
     merge_stage.Claim(&all, kPartitionOwned, "all")
         .Claim(&delta, kPartitionOwned, "delta");
-    cluster->RunStagePair(
-        seed_stage,
-        [&](TaskContext& ctx) {
-          const int p = ctx.partition();
-          ShuffleWrite write(P);
-          for (Row& row : splits[p]) write.Add(std::move(row), partitioning);
-          ctx.WriteShuffle(std::move(write));
-        },
-        merge_stage, [&](TaskContext& ctx) {
-          const int p = ctx.partition();
-          std::vector<Row> rows = ctx.ReadShuffle();
-          rows = dist::PartialAggregate(std::move(rows), spec);
-          all.partition(p)->MergeDelta(rows, &delta[p]);
-        });
+    cluster->RunStage(seed_stage, [&](TaskContext& ctx) {
+      const int p = ctx.partition();
+      ShuffleWrite write(P);
+      for (Row& row : splits[p]) write.Add(std::move(row), partitioning);
+      ctx.WriteShuffle(std::move(write));
+    });
+    cluster->RunStage(merge_stage, [&](TaskContext& ctx) {
+      const int p = ctx.partition();
+      std::vector<Row> rows = ctx.ReadShuffle();
+      rows = dist::PartialAggregate(std::move(rows), spec);
+      all.partition(p)->MergeDelta(rows, &delta[p]);
+    });
   }
   for (const auto& d : delta) stats->total_delta_rows += d.size();
   if (warm != nullptr) {
@@ -606,9 +610,6 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // Map output of iteration i is merged and re-joined by iteration i+1
     // on the same partition/worker. Two channels ping-pong between
     // iterations: stage i consumes channels[cur] and fills channels[1-cur].
-    // Each combined stage both consumes and produces, so the driver must
-    // see iteration i's output before submitting i+1 — the pipeline has
-    // nothing to overlap here and the stages stay barriered (DESIGN.md §8).
     ShuffleChannel channels[2] = {ShuffleChannel(P), ShuffleChannel(P)};
     int cur = 0;
     {
@@ -696,10 +697,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     }
   } else {
     // ---- Plain DSN (Alg. 4/5): separate Map and Reduce stages per
-    // iteration, submitted as a pair — the async-shuffle pipeline's main
-    // target. Map task p moves delta[p] out before any reduce task may
-    // refill it (reduce p depends on all P map slices), so the pair is
-    // safe to overlap. One channel is reused across iterations.
+    // iteration. Map task p moves delta[p] out; the reduce stage, submitted
+    // after every map task finished, refills it. One channel is reused
+    // across iterations.
     //
     // When some term runs as a pipeline and `runtime.morsel_rows > 0`,
     // the map stage instead goes through the split RunStage overload
@@ -735,44 +735,27 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       reduce_stage.kind = StageSpec::Kind::kShuffleReduce;
       reduce_stage.input_slices = &exchange;
       reduce_stage.counter = &delta_rows;
-      // The pair's shared `delta` hand-off is legal because the exchange
-      // channel orders reduce p after every map task; the verifier exempts
-      // write/write claims that carry such a slice dependency (RASQL-G008).
       reduce_stage.Claim(&all, kPartitionOwned, "all")
           .Claim(&delta, kPartitionOwned, "delta");
-      const dist::StageTask reduce_task = [&](TaskContext& ctx) {
-        const int p = ctx.partition();
-        ctx.ReportCachedState(all.partition(p)->byte_size());
-        std::vector<Row> incoming = ctx.ReadShuffle();
-        incoming = dist::PartialAggregate(std::move(incoming), spec);
-        all.partition(p)->MergeDelta(incoming, &delta[p]);
-        ctx.Count(delta[p].size());
-      };
 
       if (!split) {
         map_stage.Claim(&delta, kPartitionOwned, "delta")
             .Claim(&step_caches, kPartitionOwned, "step-caches")
             .Claim(&coparted, kReadShared, "coparted-base");
-        cluster->RunStagePair(
-            map_stage,
-            [&](TaskContext& ctx) {
-              const int p = ctx.partition();
-              ctx.ReportCachedState(copart_state_bytes(p));
-              ShuffleWrite write(P);
-              std::vector<Row> candidates;
-              Status s = eval_step_for_partition(p, &candidates);
-              if (!s.ok()) {
-                ctx.Fail(std::move(s));
-              } else {
-                candidates =
-                    dist::PartialAggregate(std::move(candidates), spec);
-                for (Row& row : candidates) {
-                  write.Add(std::move(row), partitioning);
-                }
-              }
-              ctx.WriteShuffle(std::move(write));
-            },
-            reduce_stage, reduce_task);
+        cluster->RunStage(map_stage, [&](TaskContext& ctx) {
+          const int p = ctx.partition();
+          ctx.ReportCachedState(copart_state_bytes(p));
+          ShuffleWrite write(P);
+          std::vector<Row> candidates;
+          Status s = eval_step_for_partition(p, &candidates);
+          if (!s.ok()) {
+            ctx.Fail(std::move(s));
+          } else {
+            candidates = dist::PartialAggregate(std::move(candidates), spec);
+            for (Row& row : candidates) write.Add(std::move(row), partitioning);
+          }
+          ctx.WriteShuffle(std::move(write));
+        });
       } else {
         // Freeze the iteration's delta driver-side so sub-task ranges
         // refer to stable storage; reduce refills delta[p] afterwards.
@@ -853,8 +836,15 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               }
               ctx.WriteShuffle(std::move(write));
             });
-        cluster->RunStage(reduce_stage, reduce_task);
       }
+      cluster->RunStage(reduce_stage, [&](TaskContext& ctx) {
+        const int p = ctx.partition();
+        ctx.ReportCachedState(all.partition(p)->byte_size());
+        std::vector<Row> incoming = ctx.ReadShuffle();
+        incoming = dist::PartialAggregate(std::move(incoming), spec);
+        all.partition(p)->MergeDelta(incoming, &delta[p]);
+        ctx.Count(delta[p].size());
+      });
       RASQL_RETURN_IF_ERROR(failure.First());
       stats->total_delta_rows += delta_rows.Total();
     }

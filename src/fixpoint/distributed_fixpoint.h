@@ -56,7 +56,7 @@ struct DistOrchestration {
   std::vector<std::string> broadcast;
   /// True when at least one recursive branch runs as a pipeline
   /// (RecursiveStep::pipelined, hence morsel-decomposable), so
-  /// `runtime.morsel_rows > 0` turns the plain map stage into a split DAG.
+  /// `runtime.morsel_rows > 0` splits the plain map stage into morsels.
   bool delta_splittable = false;
 };
 

@@ -74,22 +74,17 @@ Result<StageGraph> PlanDistributedStages(
   }
 
   // ---- Seed: scatter the driver-evaluated base case, merge per
-  // partition. Submitted as one pipelined pair. ----
+  // partition. ----
   const int ch_seed = g.AddChannel("seed-exchange");
-  int group = 0;
   {
     const int r_splits = g.AddResource("seed-splits");
-    StageNode& seed = g.AddStage("seed-base-case", StageKind::kShuffleMap);
-    seed.output_channel = ch_seed;
-    seed.group = group;
+    g.AddStage("seed-base-case", StageKind::kShuffleMap).output_channel =
+        ch_seed;
     g.Claim(r_splits, kPartitionOwned);
-    StageNode& merge =
-        g.AddStage("merge-base-case", StageKind::kShuffleReduce);
-    merge.input_channel = ch_seed;
-    merge.group = group;
+    g.AddStage("merge-base-case", StageKind::kShuffleReduce).input_channel =
+        ch_seed;
     g.Claim(r_all, kPartitionOwned);
     g.Claim(r_delta, kPartitionOwned);
-    ++group;
   }
 
   std::string note = "clique: " + ViewNames(clique);
@@ -153,8 +148,8 @@ Result<StageGraph> PlanDistributedStages(
   } else {
     // ---- Plain DSN (Alg. 4/5): map-i/reduce-i per iteration over one
     // exchange, Reset() before every map after the first. Splittable maps
-    // run as a morsel DAG (separate submissions); otherwise the pair is
-    // pipelined. Unrolled twice to show the Reset-then-republish. ----
+    // run their morsels as split sub-tasks. Unrolled twice to show the
+    // Reset-then-republish. ----
     const bool split = runtime.morsel_rows > 0 && orch.delta_splittable;
     const int ch_exchange = g.AddChannel("delta-exchange");
     int r_frozen = -1, r_sub = -1, r_slots = -1, r_sub_status = -1;
@@ -170,7 +165,6 @@ Result<StageGraph> PlanDistributedStages(
       map.output_channel = ch_exchange;
       map.status = s_failure;
       map.split = split;
-      if (!split) map.group = group;
       if (i > 1) map.resets.push_back(ch_exchange);
       if (split) {
         g.Claim(r_frozen, kReadShared);
@@ -186,14 +180,12 @@ Result<StageGraph> PlanDistributedStages(
           g.AddStage("reduce" + suffix, StageKind::kShuffleReduce);
       reduce.input_channel = ch_exchange;
       reduce.counter = c_delta_rows;
-      if (!split) reduce.group = group;
       g.Claim(r_all, kPartitionOwned);
       g.Claim(r_delta, kPartitionOwned);
-      ++group;
     }
-    note += split ? "\nmode: plain DSN (Alg. 4/5), morsel-split map DAG — "
-                    "map/reduce template repeats until the delta is empty"
-                  : "\nmode: plain DSN (Alg. 4/5), pipelined pairs — "
+    note += split ? "\nmode: plain DSN (Alg. 4/5), morsel-split map stages "
+                    "— map/reduce template repeats until the delta is empty"
+                  : "\nmode: plain DSN (Alg. 4/5), map/reduce stages — "
                     "map/reduce template repeats until the delta is empty";
   }
   g.note = std::move(note);

@@ -20,11 +20,11 @@ namespace rasql::fixpoint {
 
 /// Plans the distributed evaluation of `clique` (must satisfy
 /// EligibleForDistributed) on `num_partitions` partitions: co-partitioning
-/// prologue, the seed map/merge pair, then the iteration body of whichever
-/// mode the orchestration settles on — decomposed local fixpoint, combined
-/// reduce+map stages ping-ponging two channels, or plain DSN map/reduce
-/// pairs (split into a morsel DAG when `runtime.morsel_rows > 0` and the
-/// delta is splittable).
+/// prologue, the seed map and merge stages, then the iteration body of
+/// whichever mode the orchestration settles on — decomposed local
+/// fixpoint, combined reduce+map stages ping-ponging two channels, or
+/// plain DSN map and reduce stages (the map split into morsel sub-tasks
+/// when `runtime.morsel_rows > 0` and the delta is splittable).
 common::Result<verify::StageGraph> PlanDistributedStages(
     const analysis::RecursiveClique& clique,
     const DistFixpointOptions& options,

@@ -20,15 +20,6 @@ struct RuntimeOptions {
   /// per hardware thread.
   int num_threads = 1;
 
-  /// Pipeline shuffles: when a map stage and its consuming reduce stage are
-  /// submitted together (Cluster::RunStagePair), enqueue the reduce tasks
-  /// with per-slice dependencies on the map tasks and release each one as
-  /// soon as all of its input slices are published — instead of barriering
-  /// the whole map stage first. Simulated metrics are unaffected (the cost
-  /// model still runs post-barrier in partition order, DESIGN.md §8); only
-  /// wall-clock changes. No effect with one thread.
-  bool async_shuffle = false;
-
   /// Morsel size for splittable pipeline work (DESIGN.md §10): both
   /// fixpoint paths cut each partition's delta into `[begin, end)` row
   /// ranges of at most this many rows and evaluate them as independent
@@ -50,7 +41,7 @@ struct RuntimeOptions {
   size_t batch_rows = 0;
 
   /// Verify declared stage graphs at submission time (DESIGN.md §11): the
-  /// Cluster rejects a RunStage/RunStagePair whose StageSpec violates the
+  /// Cluster rejects a RunStage whose StageSpec violates the
   /// slice-lifecycle or ownership contracts, before any task runs, and the
   /// local fixpoint checks its phase plan up front. Opt-in here (shell
   /// `--verify-stages`); also forced on by the RASQL_VERIFY_STAGES

@@ -50,33 +50,6 @@ class StageExecutor {
     pool_->ParallelFor(num_tasks, timed);
   }
 
-  /// Like Map, but the tasks form a dependency DAG (see
-  /// ThreadPool::ParallelForGraph): task i starts once its deps[i]
-  /// prerequisites finished and releases the tasks listed in dependents[i].
-  /// Indices must be topologically ordered. Used by the async-shuffle
-  /// pipeline to run a reduce task as soon as its input slices are
-  /// published (DESIGN.md §8). Results and timings still land in slot
-  /// order, so the cost model downstream is unaffected.
-  template <typename R>
-  void MapGraph(int num_tasks, const std::function<R(int)>& task,
-                const std::vector<int>& deps,
-                const std::vector<std::vector<int>>& dependents,
-                std::vector<R>* results, std::vector<double>* task_seconds) {
-    results->clear();
-    results->resize(num_tasks);
-    task_seconds->assign(num_tasks, 0.0);
-    auto timed = [&](int i) {
-      common::Timer timer;
-      (*results)[i] = task(i);
-      (*task_seconds)[i] = timer.ElapsedSeconds();
-    };
-    if (pool_ == nullptr) {
-      for (int i = 0; i < num_tasks; ++i) timed(i);
-      return;
-    }
-    pool_->ParallelForGraph(num_tasks, timed, deps, dependents);
-  }
-
  private:
   RuntimeOptions options_;
   int num_threads_;

@@ -6,13 +6,6 @@
 
 namespace rasql::runtime {
 
-namespace {
-/// Which pool worker the current thread is acting as. Tasks released
-/// mid-job (ParallelForGraph) are pushed onto the releasing worker's own
-/// deque, where it pops them LIFO-hot or thieves find them.
-thread_local int tl_worker = 0;
-}  // namespace
-
 int ThreadPool::HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -47,15 +40,6 @@ void ThreadPool::FinishTask() {
   }
 }
 
-void ThreadPool::NotifyMoreWork() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++signal_;
-  }
-  work_cv_.notify_all();
-  done_cv_.notify_all();
-}
-
 bool ThreadPool::RunOneTask(int self) {
   Task task;
   if (queues_[self]->PopBottom(&task)) {
@@ -82,7 +66,6 @@ bool ThreadPool::RunOneTask(int self) {
 }
 
 void ThreadPool::WorkerLoop(int self) {
-  tl_worker = self;
   uint64_t seen_signal = 0;
   while (true) {
     {
@@ -91,37 +74,27 @@ void ThreadPool::WorkerLoop(int self) {
       if (stop_) return;
       seen_signal = signal_;
     }
-    // Drain: own deque first, then steal. A task that releases dependents
-    // bumps the signal, so a worker that goes back to sleep between the
-    // release and the next drain attempt is re-woken — no release is ever
-    // missed.
+    // Drain: own deque first, then steal.
     while (RunOneTask(self)) {
     }
   }
 }
 
 void ThreadPool::RunJobAsWorkerZero() {
-  uint64_t seen;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    seen = ++signal_;
+    ++signal_;
   }
   work_cv_.notify_all();
-  tl_worker = 0;
-  // The submitter is worker 0: drain, park until the job completes or new
-  // work is released, drain again.
-  while (true) {
-    while (RunOneTask(0)) {
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (pending_.load(std::memory_order_acquire) == 0) return;
-    done_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_acquire) == 0 ||
-             signal_ != seen;
-    });
-    if (pending_.load(std::memory_order_acquire) == 0) return;
-    seen = signal_;
+  // The submitter is worker 0: drain, then park until the job completes.
+  // Every task was enqueued before the signal, so once the deques look dry
+  // the only outstanding work is tasks other workers are running.
+  while (RunOneTask(0)) {
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void ThreadPool::ParallelFor(int num_tasks,
@@ -137,58 +110,6 @@ void ThreadPool::ParallelFor(int num_tasks,
   for (int i = 0; i < num_tasks; ++i) {
     queues_[i % num_threads_]->PushBottom([&body, i] { body(i); });
   }
-  RunJobAsWorkerZero();
-}
-
-void ThreadPool::ParallelForGraph(
-    int num_tasks, const std::function<void(int)>& body,
-    const std::vector<int>& deps,
-    const std::vector<std::vector<int>>& dependents) {
-  if (num_tasks <= 0) return;
-  RASQL_CHECK(static_cast<int>(deps.size()) == num_tasks);
-  RASQL_CHECK(static_cast<int>(dependents.size()) == num_tasks);
-  if (num_threads_ == 1) {
-    // Topological index order satisfies every dependency inline.
-    for (int i = 0; i < num_tasks; ++i) body(i);
-    return;
-  }
-  std::lock_guard<std::mutex> submit(submit_mu_);
-  RASQL_CHECK(pending_.load(std::memory_order_relaxed) == 0);
-  pending_.store(num_tasks, std::memory_order_release);
-
-  // Outstanding prerequisites per task. Lives on the submitter's stack:
-  // every access happens before the job's last FinishTask, which the
-  // submitter waits out before returning.
-  std::vector<std::atomic<int>> remaining(num_tasks);
-  for (int i = 0; i < num_tasks; ++i) {
-    remaining[i].store(deps[i], std::memory_order_relaxed);
-  }
-
-  // Run the body, then release any dependent whose last prerequisite this
-  // was. The acq_rel RMW chain on remaining[d] makes every producer's
-  // writes visible to the released task (which the releasing worker pushes
-  // onto its own deque under that deque's lock).
-  std::function<void(int)> run_task;
-  run_task = [&](int i) {
-    body(i);
-    bool released = false;
-    for (int d : dependents[i]) {
-      if (remaining[d].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        queues_[tl_worker]->PushBottom([&run_task, d] { run_task(d); });
-        released = true;
-      }
-    }
-    if (released) NotifyMoreWork();
-  };
-
-  int roots = 0;
-  for (int i = 0; i < num_tasks; ++i) {
-    if (deps[i] == 0) {
-      queues_[roots++ % num_threads_]->PushBottom(
-          [&run_task, i] { run_task(i); });
-    }
-  }
-  RASQL_CHECK(roots > 0);
   RunJobAsWorkerZero();
 }
 

@@ -25,15 +25,9 @@ namespace rasql::runtime {
 /// a worker that drains its own deque steals the oldest half of a victim's
 /// (TaskQueue::StealHalf), repatriating the surplus to its own deque where
 /// other thieves can find it. Stolen work therefore diffuses instead of
-/// ping-ponging one task at a time.
-///
-/// ParallelForGraph generalizes this to a task DAG: tasks may declare
-/// dependencies and are released into the deques incrementally as their
-/// prerequisites complete, so downstream tasks overlap with still-running
-/// upstream ones (the async-shuffle pipeline, DESIGN.md §8). Workers park
-/// on a signal epoch that is bumped both at submission and whenever a
-/// completing task releases new work, so a sleeping worker never misses a
-/// mid-job release.
+/// ping-ponging one task at a time. Every task of a job is enqueued at
+/// submission, so a job is one barrier: workers park on a signal epoch
+/// bumped per submission, and the submitter returns once all tasks ran.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -49,18 +43,6 @@ class ThreadPool {
   /// would self-deadlock and must not be made.
   void ParallelFor(int num_tasks, const std::function<void(int)>& body);
 
-  /// Runs body(i) for every i in [0, num_tasks) respecting a dependency
-  /// DAG: task i starts only after deps[i] prerequisite tasks finished,
-  /// and finishing task i decrements the wait count of every task in
-  /// dependents[i] (releasing those that reach zero). Tasks must be
-  /// topologically ordered by index — i's prerequisites all have smaller
-  /// indices — so the one-thread path can run 0..n-1 inline. At least one
-  /// task must have deps == 0. The same nesting/serialization rules as
-  /// ParallelFor apply.
-  void ParallelForGraph(int num_tasks, const std::function<void(int)>& body,
-                        const std::vector<int>& deps,
-                        const std::vector<std::vector<int>>& dependents);
-
   /// Number of hardware threads, always >= 1.
   static int HardwareThreads();
 
@@ -70,13 +52,8 @@ class ThreadPool {
   /// False when no runnable task was found anywhere.
   bool RunOneTask(int self);
   void FinishTask();
-  /// Bumps the signal epoch and wakes everyone: parked workers re-drain,
-  /// and a waiting submitter re-enters its drain loop. Called at submission
-  /// and whenever a completing task releases dependent tasks.
-  void NotifyMoreWork();
   /// The submitter's half of a job: announce it, participate as worker 0
-  /// until the deques are dry, park until either the job completes or a
-  /// release signal arrives, repeat.
+  /// until the deques are dry, then park until the job completes.
   void RunJobAsWorkerZero();
 
   int num_threads_;
@@ -86,8 +63,8 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait here between signals
   std::condition_variable done_cv_;  ///< the submitter waits here
-  /// Epoch bumped on submission and on every mid-job release of dependent
-  /// tasks. A worker whose last observed epoch differs has work to look for.
+  /// Epoch bumped on every submission. A worker whose last observed epoch
+  /// differs has work to look for.
   uint64_t signal_ = 0;
   bool stop_ = false;
   std::atomic<int> pending_{0};

@@ -60,11 +60,15 @@ int Main(int argc, char** argv) {
     } else if (int_flag("--io-slots=", &options.io_slots) ||
                int_flag("--exec-slots=", &options.exec_slots) ||
                int_flag("--max-queue=", &options.max_queue_depth) ||
-               int_flag("--engine-threads=", &options.engine_threads) ||
-               int_flag("--workers=", &config.cluster.num_workers)) {
-      if (config.cluster.num_workers > 0) {
-        config.cluster.num_partitions = config.cluster.num_workers * 2;
+               int_flag("--engine-threads=", &options.engine_threads)) {
+      // int_flag stored the value.
+    } else if (int_flag("--workers=", &config.cluster.num_workers)) {
+      if (config.cluster.num_workers < 1) {
+        std::fprintf(stderr, "--workers wants a positive count, got '%s'\n",
+                     arg.c_str() + 10);
+        return 1;
       }
+      config.cluster.num_partitions = config.cluster.num_workers * 2;
     } else if (int_flag("--plan-cache=", &size)) {
       options.plan_cache_entries = static_cast<size_t>(size);
     } else if (int_flag("--result-cache=", &size)) {

@@ -3,17 +3,16 @@
 // spark-shell integration.
 //
 // Usage:
-//   rasql [--distributed] [--workers N] [--threads N] [--async-shuffle]
-//         [--morsel-rows=N] [--batch-rows=N] [--lint] [--werror-lint]
-//         [--verify-stages] [--incremental] [script.sql]
+//   rasql [--distributed] [--workers N] [--threads N] [--morsel-rows=N]
+//         [--batch-rows=N] [--lint] [--werror-lint] [--verify-stages]
+//         [--incremental] [script.sql]
 //
 // --threads=N runs the task closures of every distributed stage AND the
 // local fixpoint path's partitioned semi-naive/naive evaluation on a
 // work-stealing pool of N real threads (0 = one per hardware thread);
 // query results and fixpoint stats are identical for any thread count.
-// --async-shuffle pipelines each map→reduce stage pair: reduce tasks are
-// released per published shuffle slice instead of waiting for a stage
-// barrier. Results and simulated metrics are unchanged; wall time drops.
+// --workers N (N >= 1) sets the simulated cluster's worker count and 2N
+// partitions. Any other argument starting with "--" is refused.
 // --morsel-rows=N splits each partition's delta into N-row morsels that
 // run as independent tasks (0 = whole-partition); results, fixpoint stats
 // and modeled metrics are identical for any value.
@@ -315,15 +314,19 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--distributed") == 0) {
       config.distributed = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      config.cluster.num_workers = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--workers") == 0) {
+      const char* count = i + 1 < argc ? argv[++i] : "";
+      config.cluster.num_workers = std::atoi(count);
+      if (config.cluster.num_workers < 1) {
+        std::fprintf(stderr, "--workers wants a positive count, got '%s'\n",
+                     count);
+        return 1;
+      }
       config.cluster.num_partitions = config.cluster.num_workers * 2;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       config.runtime.num_threads = std::atoi(argv[i] + 10);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       config.runtime.num_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--async-shuffle") == 0) {
-      config.runtime.async_shuffle = true;
     } else if (std::strncmp(argv[i], "--morsel-rows=", 14) == 0) {
       config.runtime.morsel_rows =
           static_cast<size_t>(std::atoll(argv[i] + 14));
@@ -356,12 +359,15 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: rasql [--distributed] [--workers N] [--threads N] "
-          "[--async-shuffle] [--morsel-rows=N] [--batch-rows=N] [--lint] "
+          "[--morsel-rows=N] [--batch-rows=N] [--lint] "
           "[--werror-lint] [--verify-stages] [--incremental] "
           "[--format=csv|json|text] "
           "[--serve [--port=N] [--port-file=PATH]] [script]\n");
       PrintHelp();
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 1;
     } else {
       script_path = argv[i];
     }

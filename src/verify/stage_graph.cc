@@ -92,7 +92,6 @@ std::string StageGraph::ToString() const {
     if (n.output_channel >= 0) out << "  out: " << channels[n.output_channel];
     if (n.counter >= 0) out << "  counter: " << counters[n.counter];
     if (n.status >= 0) out << "  status: " << statuses[n.status];
-    if (n.group >= 0) out << "  [pair " << n.group << "]";
     if (!n.resets.empty()) {
       out << "  resets:";
       for (int c : n.resets) out << " " << channels[c];

@@ -62,23 +62,19 @@ struct StageNode {
   /// Shared accumulators the tasks may update (-1 = none).
   int counter = -1;
   int status = -1;
-  /// True when the stage declares split sub-tasks (morsel DAG, §10).
+  /// True when the stage declares split sub-tasks (morsel split, §10).
   bool split = false;
   /// Channels whose exchange is cleared (ShuffleChannel::Reset) by the
   /// driver immediately before this stage is submitted.
   std::vector<int> resets;
   /// Declared resource accesses of this stage's task closures.
   std::vector<ClaimDecl> claims;
-  /// Concurrency group: nodes sharing a non-negative group id are
-  /// submitted as ONE dependency DAG (Cluster::RunStagePair) and may run
-  /// interleaved; -1 = barriered single-stage submission.
-  int group = -1;
 };
 
 /// The abstract, pointer-free model of a job's stage submissions that the
 /// StageGraphVerifier reasons about. Built incrementally by the live
-/// Cluster hook (one node per RunStage, two per RunStagePair) or in one
-/// shot by the offline planners behind EXPLAIN STAGES.
+/// Cluster hook (one node per RunStage) or in one shot by the offline
+/// planners behind EXPLAIN STAGES.
 struct StageGraph {
   /// Registry names, for diagnostics and rendering. Indices are the ids
   /// StageNode fields refer to.

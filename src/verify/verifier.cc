@@ -2,7 +2,6 @@
 
 #include <map>
 #include <sstream>
-#include <utility>
 
 #include "common/check.h"
 
@@ -29,9 +28,10 @@ void StageGraphVerifier::SetLivePublished(int channel, int published) {
   channel_states_[channel].published = published;
 }
 
-void StageGraphVerifier::VerifyNodeLocal(const StageNode& node,
-                                         DiagnosticEngine* diag) {
+void StageGraphVerifier::VerifyNode(const StageNode& node,
+                                    DiagnosticEngine* diag) {
   const StageGraph& g = *graph_;
+  const int P = g.num_partitions;
   // RASQL-G006: the declared channels must be coherent with the stage
   // kind — the runtime derives scheduling and cost-model behaviour from
   // the kind, so a contradiction means one of the two lies.
@@ -51,9 +51,8 @@ void StageGraphVerifier::VerifyNodeLocal(const StageNode& node,
                      Quote(g.channels[node.output_channel]),
                  node.name);
   }
-  // RASQL-G004 (self form): consuming the channel the stage itself
-  // publishes can never be scheduled — every consumer slice would wait on
-  // the stage's own completion.
+  // RASQL-G004: consuming the channel the stage itself publishes reads an
+  // exchange its own tasks are still writing.
   if (node.input_channel >= 0 && node.input_channel == node.output_channel) {
     diag->Report(Severity::kError, "RASQL-G004",
                  "stage consumes its own output channel " +
@@ -82,81 +81,17 @@ void StageGraphVerifier::VerifyNodeLocal(const StageNode& node,
                    node.name);
     }
   }
-}
 
-void StageGraphVerifier::VerifyGroup(size_t begin, size_t end,
-                                     DiagnosticEngine* diag) {
-  const StageGraph& g = *graph_;
-  const int P = g.num_partitions;
-  const size_t n = end - begin;
-
-  for (size_t i = begin; i < end; ++i) VerifyNodeLocal(g.nodes[i], diag);
-
-  // Driver-side Reset() calls precede the submission of the whole group.
-  for (size_t i = begin; i < end; ++i) {
-    for (int ch : g.nodes[i].resets) {
-      RASQL_CHECK(ch >= 0 && ch < static_cast<int>(channel_states_.size()));
-      channel_states_[ch].published = 0;
-    }
+  // Driver-side Reset() calls precede the submission.
+  for (int ch : node.resets) {
+    RASQL_CHECK(ch >= 0 && ch < static_cast<int>(channel_states_.size()));
+    channel_states_[ch].published = 0;
   }
 
-  // In-group slice dependencies: producer -> consumer through a shared
-  // channel. These are the edges Cluster::RunStagePair turns into real
-  // task dependencies under async shuffle.
-  std::vector<std::vector<size_t>> edges(n);
-  std::vector<bool> input_satisfied(n, false);
-  for (size_t c = begin; c < end; ++c) {
-    const int in = g.nodes[c].input_channel;
-    if (in < 0) continue;
-    for (size_t p = begin; p < end; ++p) {
-      if (p != c && g.nodes[p].output_channel == in) {
-        edges[p - begin].push_back(c - begin);
-        input_satisfied[c - begin] = true;
-      }
-    }
-  }
-
-  // RASQL-G004 (cycle form): a dependency cycle among the group's stages
-  // can never release any consumer task.
-  if (n > 1) {
-    std::vector<int> color(n, 0);  // 0 white, 1 on stack, 2 done
-    bool cyclic = false;
-    // Iterative DFS; group sizes are tiny but avoid recursion anyway.
-    for (size_t root = 0; root < n && !cyclic; ++root) {
-      if (color[root] != 0) continue;
-      std::vector<std::pair<size_t, size_t>> stack{{root, 0}};
-      color[root] = 1;
-      while (!stack.empty() && !cyclic) {
-        auto& [v, next] = stack.back();
-        if (next < edges[v].size()) {
-          const size_t w = edges[v][next++];
-          if (color[w] == 1) {
-            cyclic = true;
-          } else if (color[w] == 0) {
-            color[w] = 1;
-            stack.push_back({w, 0});
-          }
-        } else {
-          color[v] = 2;
-          stack.pop_back();
-        }
-      }
-    }
-    if (cyclic) {
-      diag->Report(Severity::kError, "RASQL-G004",
-                   "cyclic slice dependency between concurrent stages " +
-                       Quote(g.nodes[begin].name) + " and " +
-                       Quote(g.nodes[begin + 1].name),
-                   g.nodes[begin].name);
-    }
-  }
-
-  // Input lifecycle: a consumer without an in-group producer must find its
-  // exchange armed and fully published at submission time.
-  for (size_t i = begin; i < end; ++i) {
-    const StageNode& node = g.nodes[i];
-    const int in = node.input_channel;
-    if (in < 0 || input_satisfied[i - begin]) continue;
+  // Input lifecycle: a consumer must find its exchange armed by an earlier
+  // stage and fully published at submission time.
+  const int in = node.input_channel;
+  if (in >= 0) {
     RASQL_CHECK(in < static_cast<int>(channel_states_.size()));
     const ChannelState& state = channel_states_[in];
     if (!state.armed) {
@@ -174,12 +109,9 @@ void StageGraphVerifier::VerifyGroup(size_t begin, size_t end,
   }
 
   // Output lifecycle: publishing over a still-published exchange corrupts
-  // the previous iteration's slices; two in-flight stages publishing the
-  // same channel race on its ShuffleWrite slots.
-  for (size_t i = begin; i < end; ++i) {
-    const StageNode& node = g.nodes[i];
-    const int out = node.output_channel;
-    if (out < 0) continue;
+  // the previous iteration's slices.
+  const int out = node.output_channel;
+  if (out >= 0) {
     RASQL_CHECK(out < static_cast<int>(channel_states_.size()));
     if (channel_states_[out].published > 0) {
       diag->Report(Severity::kError, "RASQL-G002",
@@ -188,95 +120,8 @@ void StageGraphVerifier::VerifyGroup(size_t begin, size_t end,
                        "the channel before resubmitting",
                    node.name);
     }
-    for (size_t j = i + 1; j < end; ++j) {
-      if (g.nodes[j].output_channel == out) {
-        diag->Report(Severity::kError, "RASQL-G002",
-                     "stages " + Quote(node.name) + " and " +
-                         Quote(g.nodes[j].name) +
-                         " both publish into channel " +
-                         Quote(g.channels[out]) + " while in flight together",
-                     node.name);
-      }
-    }
-  }
-
-  if (n > 1) {
-    // RASQL-G005: per-task accumulator slots are indexed by partition
-    // within one stage; two concurrent stages sharing an accumulator
-    // collide on those slots.
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < end; ++j) {
-        const StageNode& a = g.nodes[i];
-        const StageNode& b = g.nodes[j];
-        if (a.counter >= 0 && a.counter == b.counter) {
-          diag->Report(Severity::kError, "RASQL-G005",
-                       "concurrent stages " + Quote(a.name) + " and " +
-                           Quote(b.name) + " share StageCounter " +
-                           Quote(g.counters[a.counter]) +
-                           "; per-task slots would collide",
-                       a.name);
-        }
-        if (a.status >= 0 && a.status == b.status) {
-          diag->Report(Severity::kError, "RASQL-G005",
-                       "concurrent stages " + Quote(a.name) + " and " +
-                           Quote(b.name) + " share StageStatus " +
-                           Quote(g.statuses[a.status]) +
-                           "; per-task slots would collide",
-                       a.name);
-        }
-      }
-    }
-
-    // RASQL-G008: resources touched by two stages of the group, at least
-    // one writing, need a slice dependency between the stages — otherwise
-    // tasks of both may be in flight on the same slots at once. (The
-    // legal plain map→reduce delta hand-off is exactly the case where the
-    // dependency exists.)
-    auto ordered = [&](size_t x, size_t y) {
-      for (size_t w : edges[x - begin]) {
-        if (w == y - begin) return true;
-      }
-      for (size_t w : edges[y - begin]) {
-        if (w == x - begin) return true;
-      }
-      return false;
-    };
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < end; ++j) {
-        if (ordered(i, j)) continue;
-        for (const ClaimDecl& ca : g.nodes[i].claims) {
-          for (const ClaimDecl& cb : g.nodes[j].claims) {
-            if (ca.resource != cb.resource) continue;
-            if (!IsWriteMode(ca.mode) && !IsWriteMode(cb.mode)) continue;
-            const bool both = IsWriteMode(ca.mode) && IsWriteMode(cb.mode);
-            const std::string& r = g.resources[ca.resource];
-            diag->Report(
-                Severity::kError, "RASQL-G008",
-                both ? "concurrent stages " + Quote(g.nodes[i].name) +
-                           " and " + Quote(g.nodes[j].name) +
-                           " both write resource " + Quote(r) +
-                           " with no slice dependency ordering them"
-                     : "concurrent stage " +
-                           Quote(IsWriteMode(ca.mode) ? g.nodes[i].name
-                                                      : g.nodes[j].name) +
-                           " writes resource " + Quote(r) + " while " +
-                           Quote(IsWriteMode(ca.mode) ? g.nodes[j].name
-                                                      : g.nodes[i].name) +
-                           " reads it, with no slice dependency ordering "
-                           "them",
-                g.nodes[i].name);
-          }
-        }
-      }
-    }
-  }
-
-  // Advance the simulated lifecycle: after the group completes (it is
-  // barriered as a unit from the driver's perspective), every output
-  // exchange is armed and fully published.
-  for (size_t i = begin; i < end; ++i) {
-    const int out = g.nodes[i].output_channel;
-    if (out < 0) continue;
+    // Advance the simulated lifecycle: the stage is barriered, so once it
+    // completes its output exchange is armed and fully published.
     channel_states_[out].armed = true;
     channel_states_[out].published = P;
   }
@@ -284,17 +129,8 @@ void StageGraphVerifier::VerifyGroup(size_t begin, size_t end,
 
 void StageGraphVerifier::VerifyPending(DiagnosticEngine* diag) {
   EnsureChannelStates();
-  const auto& nodes = graph_->nodes;
-  while (next_node_ < nodes.size()) {
-    size_t end = next_node_ + 1;
-    if (nodes[next_node_].group >= 0) {
-      while (end < nodes.size() &&
-             nodes[end].group == nodes[next_node_].group) {
-        ++end;
-      }
-    }
-    VerifyGroup(next_node_, end, diag);
-    next_node_ = end;
+  for (; next_node_ < graph_->nodes.size(); ++next_node_) {
+    VerifyNode(graph_->nodes[next_node_], diag);
   }
 }
 

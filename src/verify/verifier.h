@@ -10,31 +10,27 @@ namespace rasql::verify {
 
 /// Static checker of declared stage graphs: walks the StageNodes in
 /// submission order, simulates the slice lifecycle of every channel
-/// (unarmed → published → cleared-by-reset) and checks the concurrency
-/// contracts the runtime relies on, *before any task runs*. Findings go
-/// through lint::DiagnosticEngine under the RASQL-G rule family
-/// (DESIGN.md §11):
+/// (unarmed → published → cleared-by-reset) and checks the contracts the
+/// runtime relies on, *before any task runs*. Every stage is barriered, so
+/// the only tasks in flight together are one stage's. Findings go through
+/// lint::DiagnosticEngine under the RASQL-G rule family (DESIGN.md §11):
 ///
 ///   RASQL-G001  dangling input: stage consumes a channel no stage ever
 ///               published into
 ///   RASQL-G002  double-publish: stage publishes into a channel whose
-///               previous exchange was never cleared (missing Reset), or
-///               two concurrent stages publish the same channel
+///               previous exchange was never cleared (missing Reset)
 ///   RASQL-G003  consume-before-publish: the input exchange was armed but
 ///               is not fully published at submission time (cleared by a
-///               premature Reset, or a live pair missing its dependency)
-///   RASQL-G004  cycle in the map→reduce DAG (a stage consuming its own
-///               output, or a cyclic concurrent pair)
-///   RASQL-G005  StageCounter/StageStatus aliasing: two concurrent stages
-///               share an accumulator, so per-task slots collide
+///               premature Reset)
+///   RASQL-G004  a stage consuming its own output channel
 ///   RASQL-G006  kind/channel mismatch: declared channels contradict the
 ///               stage kind (e.g. a kLocal stage with an output channel)
 ///   RASQL-G007  ownership conflict inside one stage: contradictory claims
 ///               on one resource, or split-slot claims on an unsplit stage
-///   RASQL-G008  unordered concurrent writes: two stages of one pair
-///               write-claim the same resource with no slice dependency
-///               ordering them (the partition-ownership violation where
-///               two in-flight tasks may hit the same slot)
+///
+/// G005 (accumulator aliasing) and G008 (unordered writes) checked stages
+/// submitted together as one concurrency group; with barriered stages no
+/// such group exists, and those codes are retired.
 ///
 /// Two modes share this class. *Offline* (EXPLAIN STAGES, unit tests): the
 /// whole graph is built first and Verify() simulates every lifecycle.
@@ -69,11 +65,8 @@ class StageGraphVerifier {
   };
 
   void EnsureChannelStates();
-  /// Checks one submission group [begin, end) jointly and advances state.
-  void VerifyGroup(size_t begin, size_t end, lint::DiagnosticEngine* diag);
-  /// Per-node checks that need no cross-node context (kind/channel
-  /// coherence, self-cycles, claim consistency).
-  void VerifyNodeLocal(const StageNode& node, lint::DiagnosticEngine* diag);
+  /// Checks one submitted stage and advances the simulated lifecycle.
+  void VerifyNode(const StageNode& node, lint::DiagnosticEngine* diag);
 
   const StageGraph* graph_;
   size_t next_node_ = 0;

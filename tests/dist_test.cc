@@ -233,7 +233,6 @@ TEST(SliceReadinessTest, PublishConsumeLifecycle) {
   SliceReadiness readiness(3);
   EXPECT_EQ(readiness.num_partitions(), 3);
   EXPECT_EQ(readiness.NumPublished(), 0);
-  EXPECT_FALSE(readiness.AllPublished());
 
   readiness.Publish(1);
   EXPECT_TRUE(readiness.Published(1));
@@ -242,15 +241,11 @@ TEST(SliceReadinessTest, PublishConsumeLifecycle) {
 
   readiness.Publish(0);
   readiness.Publish(2);
-  EXPECT_TRUE(readiness.AllPublished());
-
-  EXPECT_FALSE(readiness.Consumed(2));
-  readiness.MarkConsumed(2);
-  EXPECT_TRUE(readiness.Consumed(2));
+  EXPECT_EQ(readiness.NumPublished(), 3);
 
   readiness.Reset(3);
   EXPECT_EQ(readiness.NumPublished(), 0);
-  EXPECT_FALSE(readiness.Consumed(2));
+  EXPECT_FALSE(readiness.Published(1));
 }
 
 TEST(ShuffleChannelTest, GatherSeesOnlyPublishedSlices) {
@@ -271,8 +266,6 @@ TEST(ShuffleChannelTest, GatherSeesOnlyPublishedSlices) {
   std::set<int64_t> seen;
   for (const Row& row : channel.Gather(0)) seen.insert(row[0].AsInt());
   for (const Row& row : channel.Gather(1)) seen.insert(row[0].AsInt());
-  EXPECT_TRUE(channel.readiness().Consumed(0));
-  EXPECT_TRUE(channel.readiness().Consumed(1));
   // Producer 1's rows {2, 3} stay invisible.
   EXPECT_EQ(seen, (std::set<int64_t>{0, 1, 4, 5}));
 
@@ -285,12 +278,12 @@ TEST(ShuffleChannelTest, GatherSeesOnlyPublishedSlices) {
 }
 
 TEST(ShuffleChannelTest, RowsRouteThroughChannel) {
-  // End-to-end through RunStagePair: map tasks route real rows, reduce
-  // tasks gather exactly the rows addressed to their partition.
-  for (bool async : {false, true}) {
+  // End to end through a map stage and the reduce stage after it: map
+  // tasks route real rows, reduce tasks gather exactly the rows addressed
+  // to their partition.
+  for (int threads : {1, 4}) {
     runtime::RuntimeOptions opts;
-    opts.num_threads = async ? 4 : 1;
-    opts.async_shuffle = async;
+    opts.num_threads = threads;
     ClusterConfig config;
     config.num_workers = 2;
     config.num_partitions = 4;
@@ -308,85 +301,129 @@ TEST(ShuffleChannelTest, RowsRouteThroughChannel) {
     reduce_spec.input_slices = &channel;
 
     std::vector<std::vector<int64_t>> received(4);
-    cluster.RunStagePair(
-        map_spec,
-        [&](TaskContext& ctx) {
-          // Task p emits the keys p*10 .. p*10+9.
-          ShuffleWrite write(4);
-          for (int64_t k = 0; k < 10; ++k) {
-            write.Add({Value::Int(ctx.partition() * 10 + k)}, spec);
-          }
-          ctx.WriteShuffle(std::move(write));
-        },
-        reduce_spec,
-        [&](TaskContext& ctx) {
-          for (const Row& row : ctx.ReadShuffle()) {
-            received[ctx.partition()].push_back(row[0].AsInt());
-          }
-        });
+    cluster.RunStage(map_spec, [&](TaskContext& ctx) {
+      // Task p emits the keys p*10 .. p*10+9.
+      ShuffleWrite write(4);
+      for (int64_t k = 0; k < 10; ++k) {
+        write.Add({Value::Int(ctx.partition() * 10 + k)}, spec);
+      }
+      ctx.WriteShuffle(std::move(write));
+    });
+    cluster.RunStage(reduce_spec, [&](TaskContext& ctx) {
+      for (const Row& row : ctx.ReadShuffle()) {
+        received[ctx.partition()].push_back(row[0].AsInt());
+      }
+    });
 
     size_t total = 0;
     for (int p = 0; p < 4; ++p) {
       for (int64_t k : received[p]) {
-        EXPECT_EQ(spec.PartitionOf({Value::Int(k)}), p) << "async=" << async;
+        EXPECT_EQ(spec.PartitionOf({Value::Int(k)}), p)
+            << "threads=" << threads;
       }
       total += received[p].size();
     }
-    EXPECT_EQ(total, 40u) << "async=" << async;
+    EXPECT_EQ(total, 40u) << "threads=" << threads;
     EXPECT_EQ(cluster.metrics().num_stages(), 2);
   }
 }
 
-TEST(ClusterTest, PipelinedPairMetricsMatchBarriered) {
-  // The same RunStagePair, barriered vs pipelined: simulated metrics must
-  // be bit-identical — names, task counts, shuffle and remote bytes.
-  auto run = [](bool async, int threads) {
+TEST(ClusterTest, SplitStageMatchesUnsplitStage) {
+  // Partitions 0 and 3 ask for no split; the others are cut into 1 to 5
+  // sub-tasks. Sub-task (p, j) fills slot (p, j); partition p's finalize
+  // task routes one row per slot. The unsplit stage computes the same rows
+  // in one task per partition. Every finalize must see all of its slots in
+  // split order, and the modeled metrics must equal the unsplit stage's.
+  const std::vector<int> nsplits = {0, 3, 1, 0, 5, 2};
+  const int P = static_cast<int>(nsplits.size());
+  const int S = 11;
+  const Partitioning spec{{0}, P};
+  auto slot_value = [](int p, int j) { return int64_t{p} * 100 + j; };
+
+  struct Run {
+    JobMetrics metrics;
+    std::vector<std::vector<int64_t>> seen;  ///< slots each finalize saw
+  };
+  auto run = [&](bool split, int threads) {
     runtime::RuntimeOptions opts;
     opts.num_threads = threads;
-    opts.async_shuffle = async;
     ClusterConfig config;
     config.num_workers = 3;
-    config.num_partitions = 6;
+    config.num_partitions = P;
+    // Hybrid placement, so cached state and shuffle slices cross workers.
+    config.partition_aware_scheduling = false;
     Cluster cluster(config, opts);
-    const Partitioning spec{{0}, 6};
-    for (int iter = 0; iter < 3; ++iter) {
-      ShuffleChannel channel(6);
-      StageSpec map_spec;
-      map_spec.name = "map-" + std::to_string(iter);
-      map_spec.kind = StageSpec::Kind::kShuffleMap;
-      map_spec.output_slices = &channel;
-      StageSpec reduce_spec;
-      reduce_spec.name = "reduce-" + std::to_string(iter);
-      reduce_spec.kind = StageSpec::Kind::kShuffleReduce;
-      reduce_spec.input_slices = &channel;
-      cluster.RunStagePair(
+    ShuffleChannel channel(P);
+    StageSpec map_spec;
+    map_spec.name = "map";
+    map_spec.kind = StageSpec::Kind::kShuffleMap;
+    map_spec.output_slices = &channel;
+
+    std::vector<std::vector<int64_t>> slots(P);
+    for (int p = 0; p < P; ++p) slots[p].assign(nsplits[p], -1);
+    Run out;
+    out.seen.resize(P);
+    auto finalize = [&](TaskContext& ctx) {
+      const int p = ctx.partition();
+      EXPECT_FALSE(ctx.is_split_task());
+      if (!split) {
+        for (int j = 0; j < nsplits[p]; ++j) slots[p][j] = slot_value(p, j);
+      }
+      out.seen[p] = slots[p];
+      ctx.ReportCachedState(64 * (p + 1));
+      ShuffleWrite write(P);
+      for (int64_t v : slots[p]) write.Add({Value::Int(v)}, spec);
+      ctx.WriteShuffle(std::move(write));
+    };
+    if (split) {
+      map_spec.split_tasks = [&](int p) { return nsplits[p]; };
+      cluster.RunStage(
           map_spec,
           [&](TaskContext& ctx) {
-            ctx.ReportCachedState(100 * (ctx.partition() + 1));
-            ShuffleWrite write(6);
-            for (int64_t k = 0; k < 6; ++k) {
-              write.Add({Value::Int(ctx.partition() * 6 + k)}, spec);
-            }
-            ctx.WriteShuffle(std::move(write));
+            const int p = ctx.partition();
+            EXPECT_EQ(ctx.num_splits(), nsplits[p]);
+            slots[p][ctx.split_index()] = slot_value(p, ctx.split_index());
           },
-          reduce_spec,
-          [&](TaskContext& ctx) { (void)ctx.ReadShuffle(); });
+          finalize);
+    } else {
+      cluster.RunStage(map_spec, finalize);
     }
-    return cluster.metrics();
+    StageSpec reduce_spec;
+    reduce_spec.name = "reduce";
+    reduce_spec.kind = StageSpec::Kind::kShuffleReduce;
+    reduce_spec.input_slices = &channel;
+    cluster.RunStage(reduce_spec,
+                     [](TaskContext& ctx) { (void)ctx.ReadShuffle(); });
+    out.metrics = cluster.metrics();
+    return out;
   };
 
-  const JobMetrics base = run(false, 1);
-  for (int threads : {1, 2, 8}) {
-    const JobMetrics got = run(true, threads);
-    ASSERT_EQ(got.num_stages(), base.num_stages()) << "threads=" << threads;
-    for (int s = 0; s < base.num_stages(); ++s) {
-      EXPECT_EQ(got.stages[s].name, base.stages[s].name);
-      EXPECT_EQ(got.stages[s].num_tasks, base.stages[s].num_tasks);
-      EXPECT_EQ(got.stages[s].shuffle_bytes, base.stages[s].shuffle_bytes)
+  const Run base = run(/*split=*/false, 1);
+  EXPECT_EQ(base.metrics.stages[0].num_exec_tasks, P);
+  EXPECT_EQ(base.metrics.stages[0].max_partition_splits, 1);
+  for (int threads : {1, 8}) {
+    const Run got = run(/*split=*/true, threads);
+    for (int p = 0; p < P; ++p) {
+      std::vector<int64_t> expected;
+      for (int j = 0; j < nsplits[p]; ++j) expected.push_back(slot_value(p, j));
+      EXPECT_EQ(got.seen[p], expected)
+          << "partition " << p << " threads=" << threads;
+    }
+    ASSERT_EQ(got.metrics.num_stages(), 2);
+    for (int s = 0; s < 2; ++s) {
+      const StageMetrics& a = base.metrics.stages[s];
+      const StageMetrics& b = got.metrics.stages[s];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.num_tasks, b.num_tasks);
+      EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes)
           << "stage " << s << " threads=" << threads;
-      EXPECT_EQ(got.stages[s].remote_bytes, base.stages[s].remote_bytes)
+      EXPECT_EQ(a.remote_bytes, b.remote_bytes)
           << "stage " << s << " threads=" << threads;
     }
+    EXPECT_GT(got.metrics.stages[1].remote_bytes, 0u);
+    EXPECT_EQ(got.metrics.stages[0].num_exec_tasks, S + P);
+    EXPECT_EQ(got.metrics.stages[0].max_partition_splits, 5);
+    EXPECT_EQ(got.metrics.stages[1].num_exec_tasks, P);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "datagen/graph_gen.h"
@@ -91,6 +92,29 @@ TEST(EngineTest, TransitiveClosure) {
       {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}};
   EXPECT_EQ(IntPairs(result->relation), expected);
   EXPECT_TRUE(result->fixpoint_stats.used_semi_naive);
+}
+
+TEST(EngineTest, DistributedModeRejectsEmptyCluster) {
+  // A cluster without workers or partitions cannot place a task; the
+  // engine refuses it instead of dividing by zero or sizing by a negative.
+  for (const auto& [workers, partitions] :
+       std::vector<std::pair<int, int>>{{0, 8}, {4, 0}, {-2, -4}}) {
+    EngineConfig config;
+    config.distributed = true;
+    config.cluster.num_workers = workers;
+    config.cluster.num_partitions = partitions;
+    RaSqlContext ctx(config);
+    ASSERT_TRUE(ctx.RegisterTable("edge",
+                                  MakeIntRelation({"Src", "Dst"}, {{1, 2}}))
+                    .ok());
+    auto result = ctx.Execute(R"(
+        WITH recursive tc (Src, Dst) AS
+          (SELECT Src, Dst FROM edge) UNION
+          (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src)
+        SELECT Src, Dst FROM tc)");
+    ASSERT_FALSE(result.ok()) << workers << " workers";
+    EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EngineTest, SsspWithCycle) {

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <map>
-#include <mutex>
 #include <type_traits>
 #include <set>
 #include <string>
@@ -116,65 +115,6 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   });
 }
 
-// ---- ParallelForGraph ----
-
-TEST(ThreadPoolTest, GraphRunsEveryTaskOnceRespectingDeps) {
-  // Chain 0 -> 1 -> 2 -> ... -> 15: strictly sequential even on 4 threads.
-  constexpr int kTasks = 16;
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    std::vector<int> deps(kTasks, 1);
-    deps[0] = 0;
-    std::vector<std::vector<int>> dependents(kTasks);
-    for (int i = 0; i + 1 < kTasks; ++i) dependents[i].push_back(i + 1);
-    std::vector<int> order;
-    std::mutex mu;
-    pool.ParallelForGraph(
-        kTasks,
-        [&](int i) {
-          std::lock_guard<std::mutex> lock(mu);
-          order.push_back(i);
-        },
-        deps, dependents);
-    std::vector<int> expected(kTasks);
-    for (int i = 0; i < kTasks; ++i) expected[i] = i;
-    EXPECT_EQ(order, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ThreadPoolTest, GraphFanInWaitsForAllProducers) {
-  // P producers, P consumers; each consumer depends on all producers, so a
-  // consumer must observe every producer's write.
-  constexpr int kP = 8;
-  for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(4);
-    std::vector<int> deps(2 * kP, 0);
-    std::vector<std::vector<int>> dependents(2 * kP);
-    for (int c = 0; c < kP; ++c) deps[kP + c] = kP;
-    for (int p = 0; p < kP; ++p) {
-      for (int c = 0; c < kP; ++c) dependents[p].push_back(kP + c);
-    }
-    std::vector<int> produced(kP, 0);
-    std::vector<int> seen(kP, 0);
-    pool.ParallelForGraph(
-        2 * kP,
-        [&](int i) {
-          if (i < kP) {
-            produced[i] = i + 1;
-            return;
-          }
-          int sum = 0;
-          for (int p = 0; p < kP; ++p) sum += produced[p];
-          seen[i - kP] = sum;
-        },
-        deps, dependents);
-    constexpr int kSum = kP * (kP + 1) / 2;
-    for (int c = 0; c < kP; ++c) {
-      ASSERT_EQ(seen[c], kSum) << "consumer " << c << " round " << round;
-    }
-  }
-}
-
 TEST(RuntimeOptionsTest, AutoResolvesToAtLeastOne) {
   RuntimeOptions auto_opts;
   auto_opts.num_threads = 0;
@@ -262,9 +202,11 @@ TEST(ClusterRuntimeTest, SimulatedMetricsIndependentOfThreadCount) {
 struct FixpointCase {
   int num_threads;
   bool partition_aware;
-  bool async_shuffle = false;
-  /// Combined stages collapse each map→reduce pair into one stage; turn
-  /// combination off to exercise RunStagePair's pipelined path.
+  /// batch_rows = 16: the recursive step runs vectorized sub-batches; the
+  /// reference stays row-at-a-time.
+  bool batch = false;
+  /// Combined stages fuse each iteration's reduce and map into one stage;
+  /// turn combination off to run separate map and reduce stages.
   bool combine_stages = true;
   /// morsel_rows = 7: concurrent split sub-tasks share each partition's
   /// cached recursive-step pipeline (plain map stages only).
@@ -282,7 +224,7 @@ class FixpointDeterminism : public ::testing::TestWithParam<FixpointCase> {
     config.cluster.num_partitions = 6;
     config.cluster.partition_aware_scheduling = GetParam().partition_aware;
     config.runtime.num_threads = GetParam().num_threads;
-    config.runtime.async_shuffle = GetParam().async_shuffle;
+    config.runtime.batch_rows = GetParam().batch ? 16 : 0;
     config.dist_fixpoint.combine_stages = GetParam().combine_stages;
     config.runtime.morsel_rows = GetParam().split_morsels ? 7 : 0;
     return config;
@@ -357,13 +299,12 @@ TEST_P(FixpointDeterminism, SsspMatchesSequentialReference) {
 }
 
 /// Fixpoint statistics (iterations, delta rows) and simulated cluster
-/// metrics must also be thread-count-independent and async-shuffle-
-/// independent — the cost model may not notice that real threads or a
-/// pipelined shuffle ran underneath it.
+/// metrics must also be thread-count-independent — the cost model may not
+/// notice that real threads, morsels or batches ran underneath it.
 TEST_P(FixpointDeterminism, StatsAndMetricsMatchSequentialReference) {
   engine::EngineConfig ref_config = Config();
   ref_config.runtime.num_threads = 1;
-  ref_config.runtime.async_shuffle = false;
+  ref_config.runtime.batch_rows = 0;
   ref_config.runtime.morsel_rows = 0;
   engine::RaSqlContext ref_ctx(ref_config);
   ASSERT_TRUE(ref_ctx.RegisterTable("edge", Edges(true)).ok());
@@ -403,30 +344,30 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FixpointCase{1, true}, FixpointCase{2, true}, FixpointCase{8, true},
         FixpointCase{2, false}, FixpointCase{8, false},
-        // Async shuffle across thread counts, with stage combination off
-        // so the plain map→reduce pairs exercise the pipelined path.
-        FixpointCase{1, true, /*async_shuffle=*/true,
-                     /*combine_stages=*/false},
-        FixpointCase{2, true, /*async_shuffle=*/true,
-                     /*combine_stages=*/false},
-        FixpointCase{8, true, /*async_shuffle=*/true,
-                     /*combine_stages=*/false},
-        FixpointCase{8, false, /*async_shuffle=*/true,
-                     /*combine_stages=*/false},
-        // Async with combination on: pairs collapse, the flag must be a
-        // harmless no-op.
-        FixpointCase{8, true, /*async_shuffle=*/true},
+        // Separate map and reduce stages across thread counts and both
+        // placement policies.
+        FixpointCase{1, true, /*batch=*/false, /*combine_stages=*/false},
+        FixpointCase{2, true, /*batch=*/false, /*combine_stages=*/false},
+        FixpointCase{8, true, /*batch=*/false, /*combine_stages=*/false},
+        FixpointCase{8, false, /*batch=*/false, /*combine_stages=*/false},
+        // Vectorized recursive steps at 8 threads.
+        FixpointCase{8, true, /*batch=*/true, /*combine_stages=*/false},
         // Morsel-split plain map stages at 8 threads.
-        FixpointCase{8, true, /*async_shuffle=*/false,
+        FixpointCase{8, true, /*batch=*/false,
                      /*combine_stages=*/false, /*split_morsels=*/true}),
     [](const auto& pinfo) {
       // "_det": stage counters reduce per-task slots in partition order;
-      // the suffix keeps the case names stable.
+      // the suffix keeps the case names stable. Separate map and reduce
+      // stages read "_mapreduce"; the morsel cell keeps its older
+      // "_nocombine_morsel". The two differ early because ctest cuts long
+      // names to 100 characters, and "_nocombine" alone would cut to the
+      // morsel cell's name.
+      const char* stages = pinfo.param.combine_stages ? ""
+                           : pinfo.param.split_morsels ? "_nocombine_morsel"
+                                                       : "_mapreduce";
       return "t" + std::to_string(pinfo.param.num_threads) +
              (pinfo.param.partition_aware ? "_aware" : "_hybrid") + "_det" +
-             (pinfo.param.async_shuffle ? "_async" : "") +
-             (pinfo.param.combine_stages ? "" : "_nocombine") +
-             (pinfo.param.split_morsels ? "_morsel" : "");
+             (pinfo.param.batch ? "_batch" : "") + stages;
     });
 
 }  // namespace

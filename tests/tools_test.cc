@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "storage/relation.h"
 #include "lint/gptest.h"
@@ -80,6 +84,63 @@ TEST(PremValidatorTest, RejectsSumHeads) {
 TEST(PremValidatorTest, RejectsNonRecursiveQueries) {
   Relation edge = MakeIntRelation({"Src", "Dst"}, {{1, 2}});
   EXPECT_FALSE(ValidatePrem("SELECT Src FROM edge", {{"edge", &edge}}).ok());
+}
+
+// ---- CLI flag parsing, through the built binaries. ----
+
+struct CommandResult {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr
+};
+
+/// Runs `args` after `binary` with stdin closed; folds stderr into stdout.
+CommandResult RunCli(const std::string& binary, const std::string& args) {
+  CommandResult result;
+  const std::string command = binary + " " + args + " </dev/null 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return result;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) result.output += buf;
+  const int status = pclose(pipe);
+  result.exit_code =
+      WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+  return result;
+}
+
+TEST(CliFlagsTest, ShellRejectsNonPositiveWorkers) {
+  for (const char* workers : {"0", "-2", ""}) {
+    const CommandResult r = RunCli(
+        RASQL_SHELL_BIN, std::string("--distributed --workers ") + workers);
+    EXPECT_EQ(r.exit_code, 1) << workers << ": " << r.output;
+    EXPECT_NE(r.output.find("--workers wants a positive count"),
+              std::string::npos)
+        << r.output;
+  }
+  const CommandResult ok =
+      RunCli(RASQL_SHELL_BIN, "--distributed --workers 2 /dev/null");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+TEST(CliFlagsTest, ShellRejectsUnknownFlags) {
+  for (const char* flag : {"--bogus-flag", "--async-shuffle"}) {
+    const CommandResult r =
+        RunCli(RASQL_SHELL_BIN, std::string(flag) + " /dev/null");
+    EXPECT_EQ(r.exit_code, 1) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(std::string("unknown flag ") + flag),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(CliFlagsTest, ServerRejectsNonPositiveWorkers) {
+  for (const char* workers : {"0", "-2"}) {
+    const CommandResult r = RunCli(
+        RASQL_SERVERD_BIN, std::string("--distributed --workers=") + workers);
+    EXPECT_EQ(r.exit_code, 1) << workers << ": " << r.output;
+    EXPECT_NE(r.output.find("--workers wants a positive count"),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 }  // namespace
